@@ -15,9 +15,14 @@
 //   - allocs/op increased at all (allocation counts are deterministic, so
 //     any increase is a real regression), or
 //   - ns/op increased by more than -ns-threshold percent (default 30; CI
-//     timing is noisy, so this is a coarse tripwire, not a microscope).
+//     timing is noisy, so this is a coarse tripwire, not a microscope), or
+//   - no benchmark of the run matched the baseline at all (a gate that
+//     compared nothing proves nothing).
 //
-// Benchmarks present on only one side are reported and skipped.
+// Names match with the "-N" GOMAXPROCS suffix removed, so a baseline
+// recorded at one core count gates runs at any other. Benchmarks present
+// on only one side are otherwise reported and skipped. Convert mode stamps
+// the recording machine's CPU count and Go version into the document.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 
 	"injectable/internal/benchfmt"
@@ -65,6 +71,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *out != "" {
+		cur.Nproc, cur.GoVersion = runtime.NumCPU(), runtime.Version()
 		if err := write(*out, stdout, cur); err != nil {
 			fmt.Fprintf(stderr, "benchjson: %v\n", err)
 			return 2
@@ -87,6 +94,10 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if report.Failed {
 		fmt.Fprintln(stderr, "benchjson: regression gate FAILED")
+		return 1
+	}
+	if report.Compared == 0 {
+		fmt.Fprintln(stderr, "benchjson: regression gate FAILED: no benchmark matched the baseline")
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchjson: regression gate passed")

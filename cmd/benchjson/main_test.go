@@ -93,3 +93,32 @@ func TestRunCheckMissingBaseline(t *testing.T) {
 		t.Fatalf("missing baseline: exit %d stderr %q", code, stderr)
 	}
 }
+
+func TestRunCheckSuffixedRunGatesUnsuffixedBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	unsuffixed := strings.ReplaceAll(benchOut, "-8 ", " ")
+	if code, _, stderr := runBenchjson(t, unsuffixed, "-o", path); code != 0 {
+		t.Fatalf("writing baseline: exit %d, stderr %q", code, stderr)
+	}
+	code, stdout, _ := runBenchjson(t, benchOutRegressed, "-check", path)
+	if code != 1 || !strings.Contains(stdout, "FAIL") {
+		t.Fatalf("suffixed regression against an unsuffixed baseline: exit %d\n%s", code, stdout)
+	}
+}
+
+func TestRunCheckZeroComparisonsFails(t *testing.T) {
+	other := "BenchmarkOther-2   1000   1200 ns/op   3 allocs/op\n"
+	code, stdout, stderr := runBenchjson(t, other, "-check", baseline(t))
+	if code != 1 || !strings.Contains(stderr, "no benchmark matched") {
+		t.Fatalf("zero-overlap run passed the gate: exit %d\n%s%s", code, stdout, stderr)
+	}
+}
+
+func TestRunConvertRecordsMachine(t *testing.T) {
+	_, stdout, _ := runBenchjson(t, benchOut, "-o", "-")
+	for _, want := range []string{`"nproc"`, `"go_version"`} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("JSON output missing %s:\n%s", want, stdout)
+		}
+	}
+}

@@ -3,6 +3,10 @@
 // for benchstat: no external dependency, tuned to the two decisions CI
 // actually makes (allocation counts may never rise; wall time may not rise
 // past a coarse threshold).
+//
+// Runs made with GOMAXPROCS N > 1 print every name with a trailing "-N";
+// Compare matches names with that suffix removed, so a baseline recorded on
+// one machine gates a run on another whatever their core counts.
 package benchfmt
 
 import (
@@ -29,8 +33,14 @@ type Benchmark struct {
 
 // Suite is a parsed benchmark run.
 type Suite struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// CPU is the processor model `go test` reports.
+	CPU string `json:"cpu,omitempty"`
+	// Nproc and GoVersion describe the machine and toolchain that recorded
+	// a baseline (set by the recorder, not parsed from the bench output).
+	Nproc      int         `json:"nproc,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -50,6 +60,9 @@ func Parse(r io.Reader) (*Suite, error) {
 			continue
 		case strings.HasPrefix(line, "goarch:"):
 			s.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+			continue
+		case strings.HasPrefix(line, "cpu:"):
+			s.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -114,51 +127,76 @@ type GateConfig struct {
 type Report struct {
 	Lines  []string
 	Failed bool
+	// Compared counts the baseline benchmarks the run matched. Zero means
+	// the gate checked nothing, which callers must treat as a failure.
+	Compared int
 }
 
-// Compare gates cur against base. Allocation-count increases always fail;
-// ns/op increases beyond the threshold fail only when cfg.NSFatal is set
-// (timing on shared CI runners is too noisy for a strict gate). Benchmarks
-// missing from either side are listed but never fail the gate.
+// procsSuffix returns the "-N" that `go test` appends to every benchmark
+// name when GOMAXPROCS is N > 1, or "" when the names do not all share one
+// such suffix (a GOMAXPROCS 1 run prints none, and a sub-benchmark label
+// such as "interval-25" is then part of the name).
+func procsSuffix(bs []Benchmark) string {
+	suffix := ""
+	for _, b := range bs {
+		i := strings.LastIndexByte(b.Name, '-')
+		if i < 0 {
+			return ""
+		}
+		if n, err := strconv.Atoi(b.Name[i+1:]); err != nil || n < 2 {
+			return ""
+		}
+		if suffix != "" && b.Name[i:] != suffix {
+			return ""
+		}
+		suffix = b.Name[i:]
+	}
+	return suffix
+}
+
+// Compare gates cur against base. Names match with each run's GOMAXPROCS
+// suffix removed; a name whose suffix-free form is absent from the
+// baseline also tries its printed form. Allocation-count increases always
+// fail; ns/op increases beyond the threshold fail only when cfg.NSFatal is
+// set (timing on shared CI runners is too noisy for a strict gate).
+// Benchmarks missing from either side are listed but never fail the gate:
+// one baseline may be checked in parts by runs that each cover a subset.
 func Compare(base, cur *Suite, cfg GateConfig) Report {
 	var rep Report
-	baseByName := map[string]Benchmark{}
-	for _, b := range base.Benchmarks {
-		baseByName[b.Name] = b
+	baseSuffix, curSuffix := procsSuffix(base.Benchmarks), procsSuffix(cur.Benchmarks)
+	baseByKey := map[string]int{}
+	for i, b := range base.Benchmarks {
+		baseByKey[strings.TrimSuffix(b.Name, baseSuffix)] = i
 	}
-	curNames := map[string]bool{}
+	curs := append([]Benchmark(nil), cur.Benchmarks...)
+	sort.Slice(curs, func(i, j int) bool { return curs[i].Name < curs[j].Name })
 
-	names := make([]string, 0, len(cur.Benchmarks))
-	for _, b := range cur.Benchmarks {
-		names = append(names, b.Name)
-		curNames[b.Name] = true
-	}
-	sort.Strings(names)
-	curByName := map[string]Benchmark{}
-	for _, b := range cur.Benchmarks {
-		curByName[b.Name] = b
-	}
-
-	for _, name := range names {
-		c := curByName[name]
-		b, ok := baseByName[name]
+	matched := make([]bool, len(base.Benchmarks))
+	for _, c := range curs {
+		i, ok := baseByKey[strings.TrimSuffix(c.Name, curSuffix)]
 		if !ok {
-			rep.Lines = append(rep.Lines, fmt.Sprintf("NEW   %s (no baseline, skipped)", name))
+			i, ok = baseByKey[c.Name]
+		}
+		if !ok {
+			rep.Lines = append(rep.Lines, fmt.Sprintf("NEW   %s (no baseline, skipped)", c.Name))
 			continue
 		}
-		if line, failed, ok := gateMetric(name, "allocs/op", b, c, cfg.AllocThresholdPct, true); ok {
+		matched[i] = true
+		rep.Compared++
+		b := base.Benchmarks[i]
+		if line, failed, ok := gateMetric(c.Name, "allocs/op", b, c, cfg.AllocThresholdPct, true); ok {
 			rep.Lines = append(rep.Lines, line)
 			rep.Failed = rep.Failed || failed
 		}
-		if line, failed, ok := gateMetric(name, "ns/op", b, c, cfg.NSThresholdPct, cfg.NSFatal); ok {
+		if line, failed, ok := gateMetric(c.Name, "ns/op", b, c, cfg.NSThresholdPct, cfg.NSFatal); ok {
 			rep.Lines = append(rep.Lines, line)
 			rep.Failed = rep.Failed || failed
 		}
 	}
-	gone := make([]string, 0)
-	for name := range baseByName {
-		if !curNames[name] {
-			gone = append(gone, fmt.Sprintf("GONE  %s (in baseline, not in this run)", name))
+	var gone []string
+	for i, b := range base.Benchmarks {
+		if !matched[i] {
+			gone = append(gone, fmt.Sprintf("GONE  %s (in baseline, not in this run)", b.Name))
 		}
 	}
 	sort.Strings(gone)

@@ -152,3 +152,44 @@ func TestCompareAllocThresholdTolerates(t *testing.T) {
 		t.Fatalf("+15%% allocs/op passed a 10%% gate:\n%s", strings.Join(rep.Lines, "\n"))
 	}
 }
+
+func TestCompareStripsGOMAXPROCSSuffix(t *testing.T) {
+	base := suiteOf(bench("BenchmarkTrialForked", 100, 5), bench("BenchmarkExp1/interval-25", 100, 7))
+	cur := suiteOf(bench("BenchmarkTrialForked-2", 100, 6), bench("BenchmarkExp1/interval-25-2", 100, 7))
+	rep := Compare(base, cur, GateConfig{NSThresholdPct: 30})
+	joined := strings.Join(rep.Lines, "\n")
+	if rep.Compared != 2 {
+		t.Fatalf("compared %d benchmarks, want 2:\n%s", rep.Compared, joined)
+	}
+	if !rep.Failed || strings.Contains(joined, "NEW") || strings.Contains(joined, "GONE") {
+		t.Fatalf("suffixed run did not gate against the unsuffixed baseline:\n%s", joined)
+	}
+}
+
+func TestCompareKeepsSubBenchmarkLabels(t *testing.T) {
+	// At GOMAXPROCS 1 nothing is appended: "interval-25" is the label, not
+	// a suffix, and must not collapse onto "interval".
+	base := suiteOf(bench("BenchmarkExp1/interval-25", 100, 7), bench("BenchmarkExp1/interval-50", 100, 3))
+	cur := suiteOf(bench("BenchmarkExp1/interval-25", 100, 7), bench("BenchmarkExp1/interval-50", 100, 4))
+	rep := Compare(base, cur, GateConfig{NSThresholdPct: 30})
+	if rep.Compared != 2 || !rep.Failed {
+		t.Fatalf("compared %d, failed %t:\n%s", rep.Compared, rep.Failed, strings.Join(rep.Lines, "\n"))
+	}
+	// A run filtered to one label shares its "-25" across every name; the
+	// printed form still matches the baseline.
+	cur = suiteOf(bench("BenchmarkExp1/interval-25", 100, 7))
+	if rep = Compare(base, cur, GateConfig{NSThresholdPct: 30}); rep.Compared != 1 {
+		t.Fatalf("single-label run compared %d:\n%s", rep.Compared, strings.Join(rep.Lines, "\n"))
+	}
+	if got := procsSuffix(suiteOf(bench("BenchmarkA-2", 1, 1), bench("BenchmarkExp1/interval-25-2", 1, 1)).Benchmarks); got != "-2" {
+		t.Fatalf("procsSuffix = %q, want -2", got)
+	}
+}
+
+func TestCompareZeroOverlapCountsNothing(t *testing.T) {
+	base := suiteOf(bench("BenchmarkOld", 100, 5))
+	cur := suiteOf(bench("BenchmarkNew-2", 100, 5))
+	if rep := Compare(base, cur, GateConfig{NSThresholdPct: 30}); rep.Compared != 0 {
+		t.Fatalf("disjoint sets compared %d benchmarks", rep.Compared)
+	}
+}
