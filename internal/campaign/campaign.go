@@ -184,8 +184,10 @@ func flatten(s *Spec) []Trial {
 	trials := make([]Trial, 0, s.TotalTrials())
 	ordinal := 0
 	for _, p := range s.Points {
+		// Only warming points need the seed, and deriving it seeds three
+		// generators, so points without a Warmup skip it.
 		warmSeed := p.WarmSeed
-		if warmSeed == 0 {
+		if warmSeed == 0 && p.Warmup != nil {
 			warmSeed = DeriveWarmSeed(s.SeedBase, p.Label)
 		}
 		for i := 0; i < p.Trials; i++ {

@@ -312,8 +312,12 @@ func (r *Runner) attempt(t Trial) (value any, err error, panicked, timedOut bool
 		panicked bool
 	}
 	done := make(chan attemptResult, 1)
+	// The goroutine captures a copy declared here: Trial is too large to
+	// capture by value, and capturing t itself would move every attempt's
+	// Trial to the heap, deadline or not.
+	tc := t
 	go func() {
-		v, e, p := runProtected(t)
+		v, e, p := runProtected(tc)
 		done <- attemptResult{v, e, p}
 	}()
 	timer := time.NewTimer(r.Timeout)

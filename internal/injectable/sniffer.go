@@ -97,26 +97,27 @@ func (s *Sniffer) hopAdvChannel(i int) {
 	s.stack.Radio.SetChannel(phy.AdvChannels()[i%3])
 	s.stack.Radio.StartListening()
 	s.epoch++
-	epoch := s.epoch
-	var dwell func(d sim.Duration)
-	dwell = func(d sim.Duration) {
-		s.stack.Sched.After(d, s.stack.Name+":sniff-hop", func() {
-			if s.phase != phaseAdvertising || s.epoch != epoch {
-				return
-			}
-			if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
-				// A frame is mid-air at the dwell boundary: let it finish,
-				// then check again. In a busy cell (many advertisers) this
-				// must re-arm — abandoning the timer would park the sniffer
-				// on this channel for good.
-				dwell(sim.Millisecond)
-				return
-			}
-			s.stack.Radio.StopListening()
-			s.hopAdvChannel(i + 1)
-		})
-	}
-	dwell(50 * sim.Millisecond)
+	s.armAdvHop(50*sim.Millisecond, i, s.epoch)
+}
+
+// armAdvHop ends the dwell on advertising channel i%3 d from now, unless
+// the sniffer has moved on (epoch changed) by then.
+func (s *Sniffer) armAdvHop(d sim.Duration, i int, epoch uint64) {
+	s.stack.Sched.After(d, s.stack.Name+":sniff-hop", func() {
+		if s.phase != phaseAdvertising || s.epoch != epoch {
+			return
+		}
+		if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
+			// A frame is mid-air at the dwell boundary: let it finish,
+			// then check again. In a busy cell (many advertisers) this
+			// must re-arm — abandoning the timer would park the sniffer on
+			// this channel for good.
+			s.armAdvHop(sim.Millisecond, i, epoch)
+			return
+		}
+		s.stack.Radio.StopListening()
+		s.hopAdvChannel(i + 1)
+	})
 }
 
 // onAdvFrame inspects advertising traffic for CONNECT_REQ.

@@ -105,26 +105,26 @@ func (i *Initiator) listenNext() {
 	i.chanIdx++
 	i.stack.Radio.SetChannel(ch)
 	i.stack.Radio.StartListening()
-	var hop func(d sim.Duration)
-	hop = func(d sim.Duration) {
-		ev := i.stack.Sched.After(d, i.stack.Name+":scan-hop", func() {
-			if !i.running {
-				return
-			}
-			if i.stack.Radio.Locked() || i.stack.Radio.Acquiring() {
-				// A frame is mid-air at the window boundary: let it
-				// finish, then check again. In a busy cell the timer must
-				// re-arm — abandoning it would park the scan on this
-				// channel for good.
-				hop(sim.Millisecond)
-				return
-			}
-			i.stack.Radio.StopListening()
-			i.listenNext()
-		})
-		i.pending = append(i.pending, ev)
-	}
-	hop(i.cfg.ScanWindowPerChannel)
+	i.armScanHop(i.cfg.ScanWindowPerChannel)
+}
+
+// armScanHop ends the current channel's dwell d from now.
+func (i *Initiator) armScanHop(d sim.Duration) {
+	ev := i.stack.Sched.After(d, i.stack.Name+":scan-hop", func() {
+		if !i.running {
+			return
+		}
+		if i.stack.Radio.Locked() || i.stack.Radio.Acquiring() {
+			// A frame is mid-air at the window boundary: let it finish,
+			// then check again. In a busy cell the timer must re-arm —
+			// abandoning it would park the scan on this channel for good.
+			i.armScanHop(sim.Millisecond)
+			return
+		}
+		i.stack.Radio.StopListening()
+		i.listenNext()
+	})
+	i.pending = append(i.pending, ev)
 }
 
 // onFrame reacts to advertisements: send CONNECT_REQ after T_IFS.
