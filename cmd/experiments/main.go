@@ -163,11 +163,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 	}
-	scenarioRunner := func(title string, scRun func(string, uint64, bool) (experiments.ScenarioOutcome, error)) func() error {
+	scenarioRunner := func(title string, scRun func(string, uint64, bool, experiments.Instrumentation) (experiments.ScenarioOutcome, error)) func() error {
 		return func() error {
 			var outcomes []experiments.ScenarioOutcome
 			for _, target := range experiments.ScenarioTargets() {
-				out, err := scRun(target, *seed, false)
+				out, err := scRun(target, *seed, false, experiments.Instrumentation{})
 				if err != nil {
 					return err
 				}
@@ -222,7 +222,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		"scenarioC": scenarioRunner("scenario C — master hijack (§VI-C)", experiments.RunScenarioC),
 		"scenarioD": scenarioRunner("scenario D — man-in-the-middle (§VI-D)", experiments.RunScenarioD),
 		"keystrokes": func() error {
-			out, err := experiments.RunScenarioKeystrokes(*seed, false)
+			out, err := experiments.RunScenarioKeystrokes(*seed, false, experiments.Instrumentation{})
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"encrypted": func() error {
-			out, err := experiments.RunEncryptedInjection(*seed)
+			out, err := experiments.RunEncryptedInjection(*seed, experiments.Instrumentation{})
 			if err != nil {
 				return err
 			}
@@ -368,14 +368,14 @@ func runIDS(stdout io.Writer, seed uint64) error {
 	}
 	for _, sc := range []struct {
 		name string
-		run  func(string, uint64, bool) (experiments.ScenarioOutcome, error)
+		run  func(string, uint64, bool, experiments.Instrumentation) (experiments.ScenarioOutcome, error)
 	}{
 		{"scenario A", experiments.RunScenarioA},
 		{"scenario B", experiments.RunScenarioB},
 		{"scenario C", experiments.RunScenarioC},
 		{"scenario D", experiments.RunScenarioD},
 	} {
-		out, err := sc.run("lightbulb", seed, true)
+		out, err := sc.run("lightbulb", seed, true, experiments.Instrumentation{})
 		if err != nil {
 			return err
 		}

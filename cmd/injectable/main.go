@@ -147,10 +147,10 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 	switch scenario {
 	case "A", "B", "C", "D":
 		run := map[string]func(string, uint64, bool, experiments.Instrumentation) (experiments.ScenarioOutcome, error){
-			"A": experiments.RunScenarioAWith,
-			"B": experiments.RunScenarioBWith,
-			"C": experiments.RunScenarioCWith,
-			"D": experiments.RunScenarioDWith,
+			"A": experiments.RunScenarioA,
+			"B": experiments.RunScenarioB,
+			"C": experiments.RunScenarioC,
+			"D": experiments.RunScenarioD,
 		}[scenario]
 		out, err := run(target, seed, withIDS, inst)
 		if err != nil {
@@ -170,7 +170,7 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 			return 1, nil
 		}
 	case "keyboard":
-		out, err := experiments.RunScenarioKeystrokesWith(seed, withIDS, inst)
+		out, err := experiments.RunScenarioKeystrokes(seed, withIDS, inst)
 		if err != nil {
 			return 0, err
 		}
@@ -180,7 +180,7 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 			return 1, nil
 		}
 	case "encrypted":
-		out, err := experiments.RunEncryptedInjectionWith(seed, inst)
+		out, err := experiments.RunEncryptedInjection(seed, inst)
 		if err != nil {
 			return 0, err
 		}

@@ -106,7 +106,7 @@ func TestWallCostsMoreAttemptsThanOpenAir(t *testing.T) {
 
 func TestScenarioAAcrossDevices(t *testing.T) {
 	for _, target := range ScenarioTargets() {
-		out, err := RunScenarioA(target, 77, false)
+		out, err := RunScenarioA(target, 77, false, Instrumentation{})
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
@@ -117,7 +117,7 @@ func TestScenarioAAcrossDevices(t *testing.T) {
 }
 
 func TestScenarioBOnBulb(t *testing.T) {
-	out, err := RunScenarioB("lightbulb", 78, false)
+	out, err := RunScenarioB("lightbulb", 78, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestScenarioBOnBulb(t *testing.T) {
 }
 
 func TestScenarioCOnBulb(t *testing.T) {
-	out, err := RunScenarioC("lightbulb", 79, false)
+	out, err := RunScenarioC("lightbulb", 79, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestScenarioCOnBulb(t *testing.T) {
 }
 
 func TestScenarioDOnWatch(t *testing.T) {
-	out, err := RunScenarioD("smartwatch", 80, false)
+	out, err := RunScenarioD("smartwatch", 80, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestScenarioDOnWatch(t *testing.T) {
 }
 
 func TestEncryptedInjectionCountermeasure(t *testing.T) {
-	out, err := RunEncryptedInjection(81)
+	out, err := RunEncryptedInjection(81, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestPayloadPDULens(t *testing.T) {
 }
 
 func TestScenarioKeystrokes(t *testing.T) {
-	out, err := RunScenarioKeystrokes(85, false)
+	out, err := RunScenarioKeystrokes(85, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,13 +438,13 @@ func TestScenarioSoak(t *testing.T) {
 	}
 	runs := []struct {
 		name string
-		run  func(string, uint64, bool) (ScenarioOutcome, error)
+		run  func(string, uint64, bool, Instrumentation) (ScenarioOutcome, error)
 	}{
 		{"A", RunScenarioA}, {"B", RunScenarioB}, {"C", RunScenarioC}, {"D", RunScenarioD},
 	}
 	for _, sc := range runs {
 		for seed := uint64(7000); seed < 7005; seed++ {
-			out, err := sc.run("lightbulb", seed, false)
+			out, err := sc.run("lightbulb", seed, false, Instrumentation{})
 			if err != nil {
 				t.Fatalf("scenario %s seed %d: %v", sc.name, seed, err)
 			}
@@ -454,7 +454,7 @@ func TestScenarioSoak(t *testing.T) {
 		}
 	}
 	for seed := uint64(7100); seed < 7105; seed++ {
-		out, err := RunScenarioKeystrokes(seed, false)
+		out, err := RunScenarioKeystrokes(seed, false, Instrumentation{})
 		if err != nil {
 			t.Fatalf("keystrokes seed %d: %v", seed, err)
 		}

@@ -6,8 +6,6 @@ import (
 	"injectable/internal/ble"
 	"injectable/internal/ble/crc"
 	"injectable/internal/ble/pdu"
-	"injectable/internal/devices"
-	"injectable/internal/host"
 	"injectable/internal/injectable"
 	"injectable/internal/link"
 	"injectable/internal/medium"
@@ -73,25 +71,18 @@ func TableIIConnectReq() *Table {
 	return t
 }
 
-// figRig is a minimal bulb+phone rig with an event trace.
-type figRig struct {
-	w     *host.World
-	bulb  *devices.Lightbulb
-	phone *devices.Smartphone
+// figRig is the bulb+phone pair of figures 1 and 2, on a 30 ms (hop
+// interval 24) connection. The attacker device stays idle: its sniffer
+// never starts.
+func figRig(seed uint64) (*trialWorld, error) {
+	cfg := TrialConfig{Seed: seed, Interval: 24, CentralName: "phone"}
+	return buildTrialWorld(cfg.withDefaults(), Instrumentation{})
 }
 
-func newFigRig(seed uint64, interval uint16) *figRig {
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
-	r := &figRig{w: w}
-	r.bulb = devices.NewLightbulb(w.NewDevice(host.DeviceConfig{Name: "bulb", Position: phy.Position{X: 0}}))
-	r.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{Name: "phone", Position: phy.Position{X: 2}}),
-		devices.SmartphoneConfig{ConnParams: link.ConnParams{Interval: interval}, ActivityInterval: -1})
-	return r
-}
-
-func (r *figRig) connect() error {
-	r.bulb.Peripheral.StartAdvertising()
-	r.phone.Connect(r.bulb.Peripheral.Device.Address())
+// connectRig brings a figure rig's connection up.
+func connectRig(r *trialWorld) error {
+	r.peripheral.StartAdvertising()
+	r.phone.Connect(r.peripheral.Device.Address())
 	r.w.RunFor(2 * sim.Second)
 	if !r.phone.Central.Connected() {
 		return fmt.Errorf("experiments: figure rig connection failed")
@@ -102,7 +93,10 @@ func (r *figRig) connect() error {
 // Fig1ConnectionEvents regenerates Fig. 1: two consecutive connection
 // events with their anchor points, T_IFS response gaps and hop.
 func Fig1ConnectionEvents(seed uint64) (*Table, error) {
-	r := newFigRig(seed, 24)
+	r, err := figRig(seed)
+	if err != nil {
+		return nil, err
+	}
 	type frameObs struct {
 		src     string
 		ch      uint8
@@ -114,7 +108,7 @@ func Fig1ConnectionEvents(seed uint64) (*Table, error) {
 			frames = append(frames, frameObs{o.Source, uint8(o.Channel), o.StartAt, o.EndAt})
 		}
 	}))
-	if err := r.connect(); err != nil {
+	if err := connectRig(r); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -145,12 +139,15 @@ func Fig1ConnectionEvents(seed uint64) (*Table, error) {
 // Fig2ConnectionUpdate regenerates Fig. 2: the connection update procedure
 // with its instant and transmit window.
 func Fig2ConnectionUpdate(seed uint64) (*Table, error) {
-	r := newFigRig(seed, 24)
-	if err := r.connect(); err != nil {
+	r, err := figRig(seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := connectRig(r); err != nil {
 		return nil, err
 	}
 	var anchors []sim.Time
-	r.bulb.Peripheral.Conn().OnEvent = func(e link.EventInfo) {
+	r.peripheral.Conn().OnEvent = func(e link.EventInfo) {
 		if !e.Missed {
 			anchors = append(anchors, e.Anchor)
 		}
@@ -189,26 +186,22 @@ func Fig2ConnectionUpdate(seed uint64) (*Table, error) {
 // Fig3AttackOverview regenerates Fig. 3: the injection race inside the
 // widened receive window, with measured timings from a real attack run.
 func Fig3AttackOverview(seed uint64) (*Table, error) {
-	s, err := newScene("lightbulb", seed, false)
+	tw, err := testbed("lightbulb", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.connect(); err != nil {
-		return nil, err
-	}
 	var masterTx []sim.Time
-	s.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
+	tw.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
 		if o.Source == "phone" && o.Channel.IsData() {
 			masterTx = append(masterTx, o.StartAt)
 		}
 	}))
+	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	err = s.attacker.InjectWrite(s.bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return nil, err
 	}
-	s.w.RunFor(60 * sim.Second)
+	tw.w.RunFor(60 * sim.Second)
 	if rep == nil || !rep.Success {
 		return nil, fmt.Errorf("experiments: fig3 injection failed")
 	}
@@ -334,7 +327,7 @@ func Fig5InjectionOutcomes(seed uint64) (*Table, error) {
 // Fig6SlaveHijack regenerates Fig. 6 as a machine-checked run of scenario
 // B with its timeline.
 func Fig6SlaveHijack(seed uint64) (*Table, error) {
-	out, err := RunScenarioB("lightbulb", seed, false)
+	out, err := RunScenarioB("lightbulb", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +345,7 @@ func Fig6SlaveHijack(seed uint64) (*Table, error) {
 
 // Fig7MitM regenerates Fig. 7 as a machine-checked run of scenario D.
 func Fig7MitM(seed uint64) (*Table, error) {
-	out, err := RunScenarioD("smartwatch", seed, false)
+	out, err := RunScenarioD("smartwatch", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}

@@ -48,8 +48,7 @@ func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 	cfg = cfg.withDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	cfg.Obs = hub
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +86,7 @@ func RunTrialWarmFresh(cfg TrialConfig, warmSeed, trialSeed uint64) (TrialResult
 	cfg = cfg.withDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	cfg.Obs = hub
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -136,13 +134,14 @@ func (wt *WarmTrial) RunCounterfactual(trialSeed uint64, sink *obs.Hub, ctx cont
 	// Baseline arm: same fork, same randomness, no injector.
 	wt.tw.w.Fork(wt.snap)
 	wt.tw.w.RekeyStreams(trialSeed)
-	baseline := wt.tw.effectProbe(wt.cfg)
+	wt.tw.armEffect(wt.cfg)
 	if err := runFor(wt.tw.w, wt.cfg.SimBudget, ctx); err != nil {
 		return CounterfactualOutcome{}, err
 	}
+	baseline := wt.tw.effect(wt.cfg)
 	return CounterfactualOutcome{
 		Injected:       injected,
-		BaselineEffect: baseline(),
-		Causal:         injected.EffectObserved && !baseline(),
+		BaselineEffect: baseline,
+		Causal:         injected.EffectObserved && !baseline,
 	}, nil
 }

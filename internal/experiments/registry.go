@@ -118,7 +118,7 @@ func SlicePoints[P any](name string, pts []P, start, count int) ([]P, error) {
 }
 
 // scenarioRun is the common shape of the RunScenario* entry points.
-type scenarioRun func(target string, seed uint64, withIDS bool) (ScenarioOutcome, error)
+type scenarioRun func(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error)
 
 // scenarioDefs lists every servable attack scenario.
 func scenarioDefs() map[string]scenarioRun {
@@ -127,8 +127,8 @@ func scenarioDefs() map[string]scenarioRun {
 		"scenarioB": RunScenarioB,
 		"scenarioC": RunScenarioC,
 		"scenarioD": RunScenarioD,
-		"keystrokes": func(_ string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-			return RunScenarioKeystrokes(seed, withIDS)
+		"keystrokes": func(_ string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+			return RunScenarioKeystrokes(seed, withIDS, inst)
 		},
 	}
 }
@@ -183,7 +183,7 @@ func ScenarioSpec(name, target string, opts Options) (*campaign.Spec, error) {
 		Trials: opts.TrialsPerPoint,
 		Seed:   func(i int) uint64 { return base + uint64(i) },
 		Run: func(t campaign.Trial) (any, error) {
-			return run(target, t.Seed, false)
+			return run(target, t.Seed, false, Instrumentation{})
 		},
 	}}, opts.PointStart, opts.PointCount)
 	if err != nil {

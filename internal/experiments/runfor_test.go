@@ -38,7 +38,7 @@ func (c *lateCancelCtx) Err() error {
 const runForSlice = 250 * sim.Millisecond
 
 func TestRunForExactSliceChecksContextOnce(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	start := tw.w.Now()
 	if err := runFor(tw.w, runForSlice, ctx); err != nil {
@@ -56,7 +56,7 @@ func TestRunForExactSliceChecksContextOnce(t *testing.T) {
 }
 
 func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	d := runForSlice + 1 // one full slice plus a 1ns remainder
 	start := tw.w.Now()
@@ -72,7 +72,7 @@ func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
 }
 
 func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	// Cancellation becomes visible at the second check — after the only
 	// slice of a d == slice span has already been simulated to completion.
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
@@ -82,7 +82,7 @@ func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
 }
 
 func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
 	start := tw.w.Now()
 	err := runFor(tw.w, runForSlice+1, ctx)
@@ -95,7 +95,7 @@ func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
 }
 
 func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := tw.w.Now()
@@ -108,7 +108,7 @@ func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
 }
 
 func TestRunForNilContextRunsWhole(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	start := tw.w.Now()
 	d := 3*runForSlice + 7
 	if err := runFor(tw.w, d, nil); err != nil {

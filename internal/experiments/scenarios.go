@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"injectable/internal/att"
 	"injectable/internal/ble/pdu"
 	"injectable/internal/campaign"
 	"injectable/internal/devices"
-	"injectable/internal/gatt"
 	"injectable/internal/host"
 	"injectable/internal/ids"
 	"injectable/internal/injectable"
@@ -15,103 +13,25 @@ import (
 	"injectable/internal/sim"
 )
 
-// scene bundles one attack-scenario world: a target device, a smartphone
-// central, an attacker and an optional IDS.
-type scene struct {
-	w        *host.World
-	attacker *injectable.Attacker
-	phone    *devices.Smartphone
-	monitor  *ids.Monitor
-
-	bulb  *devices.Lightbulb
-	fob   *devices.Keyfob
-	watch *devices.Smartwatch
-
-	target     *host.Peripheral
-	targetName string
-}
-
-// newScene builds the triangle topology around the named target device
-// ("lightbulb", "keyfob" or "smartwatch").
-func newScene(target string, seed uint64, withIDS bool) (*scene, error) {
-	return newSceneWith(target, seed, withIDS, Instrumentation{})
-}
-
-// newSceneWith is newScene with observability attached: the tracer and
-// obs hub flow into every layer of the world, and the pcap writer taps
-// the attacker's sniffer.
-func newSceneWith(target string, seed uint64, withIDS bool, inst Instrumentation) (*scene, error) {
-	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
-	s := &scene{w: w, targetName: target}
-	bulbPos, centralPos, attackerPos := trianglePositions()
-
-	dev := w.NewDevice(host.DeviceConfig{Name: target, Position: bulbPos})
-	switch target {
-	case "lightbulb":
-		s.bulb = devices.NewLightbulb(dev)
-		s.target = s.bulb.Peripheral
-	case "keyfob":
-		s.fob = devices.NewKeyfob(dev)
-		s.target = s.fob.Peripheral
-	case "smartwatch":
-		s.watch = devices.NewSmartwatch(dev)
-		s.target = s.watch.Peripheral
-	default:
-		return nil, fmt.Errorf("experiments: unknown target %q", target)
-	}
-	s.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name: "phone", Position: centralPos,
-	}), devices.SmartphoneConfig{ActivityInterval: -1})
-	atk := w.NewDevice(host.DeviceConfig{
-		Name: "attacker", Position: attackerPos,
-		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-	})
-	s.attacker = injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{})
-	if inst.Pcap != nil {
-		capturePcap(s.attacker.Sniffer, inst.Pcap)
-	}
-	if withIDS {
-		s.monitor = ids.New(ids.Config{})
-		w.Medium.AddObserver(s.monitor)
-	}
-	return s, nil
-}
-
-// connect brings the connection up with the attacker synchronised.
-func (s *scene) connect() error {
-	s.attacker.Sniffer.Start()
-	s.target.StartAdvertising()
-	s.phone.Connect(s.target.Device.Address())
-	s.w.RunFor(3 * sim.Second)
-	if !s.phone.Central.Connected() {
-		return fmt.Errorf("experiments: connection failed")
-	}
-	if !s.attacker.Sniffer.Following() {
-		return fmt.Errorf("experiments: sniffer failed to sync")
-	}
-	return nil
-}
-
-// featureTrigger returns the scenario-A feature write for the scene's
-// target, plus a ground-truth check.
-func (s *scene) featureTrigger() (handle uint16, value []byte, verify func() bool, desc string) {
-	switch s.targetName {
-	case "lightbulb":
-		return s.bulb.ControlHandle(), devices.PowerCommand(true),
-			func() bool { return s.bulb.On }, "turn bulb on"
-	case "keyfob":
-		return s.fob.AlertHandle(), devices.RingCommand(),
-			func() bool { return s.fob.Ringing }, "make keyfob ring"
-	default:
-		return s.watch.SMSHandle(), []byte("Forged SMS"),
-			func() bool {
-				for _, m := range s.watch.Messages {
-					if m == "Forged SMS" {
-						return true
-					}
+// featureTrigger returns the scenario-A feature write for the victim (the
+// PayloadFeature frame's handle and value), plus a ground-truth check and
+// a description.
+func (tw *trialWorld) featureTrigger() (handle uint16, value []byte, verify func() bool, desc string) {
+	handle, value = tw.featureWrite()
+	switch {
+	case tw.fob != nil:
+		return handle, value, func() bool { return tw.fob.Ringing }, "make keyfob ring"
+	case tw.watch != nil:
+		return handle, value, func() bool {
+			for _, m := range tw.watch.Messages {
+				if m == string(value) {
+					return true
 				}
-				return false
-			}, "forge SMS to watch"
+			}
+			return false
+		}, "forge SMS to watch"
+	default:
+		return handle, value, func() bool { return tw.bulb.On }, "turn bulb on"
 	}
 }
 
@@ -126,53 +46,38 @@ type ScenarioOutcome struct {
 }
 
 // idsCounts snapshots the monitor's alert counts.
-func (s *scene) idsCounts() map[ids.AlertKind]int {
-	if s.monitor == nil {
+func (tw *trialWorld) idsCounts() map[ids.AlertKind]int {
+	if tw.monitor == nil {
 		return nil
 	}
+	return alertCounts(tw.monitor)
+}
+
+// alertCounts tallies a monitor's alerts by kind.
+func alertCounts(m *ids.Monitor) map[ids.AlertKind]int {
 	out := make(map[ids.AlertKind]int)
-	for _, a := range s.monitor.Alerts() {
+	for _, a := range m.Alerts() {
 		out[a.Kind]++
 	}
 	return out
-}
-
-// forgedNameServer builds the §VI-B impostor profile: Device Name "Hacked".
-func forgedNameServer() *gatt.Server {
-	srv := gatt.NewServer(func([]byte) {})
-	srv.AddService(&gatt.Service{
-		UUID: att.UUID16(0x1800),
-		Characteristics: []*gatt.Characteristic{{
-			UUID: att.UUID16(0x2A00), Properties: gatt.PropRead, Value: []byte("Hacked"),
-		}},
-	})
-	return srv
 }
 
 // ScenarioTargets lists the paper's three commercial devices.
 func ScenarioTargets() []string { return []string{"lightbulb", "keyfob", "smartwatch"} }
 
 // RunScenarioA injects a feature-trigger write into the target (§VI-A).
-func RunScenarioA(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioAWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioAWith is RunScenarioA with observability attached.
-func RunScenarioAWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+func RunScenarioA(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := testbed(target, seed, withIDS, inst)
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	if err := s.connect(); err != nil {
-		return ScenarioOutcome{}, err
-	}
-	handle, value, verify, desc := s.featureTrigger()
+	handle, value, verify, desc := tw.featureTrigger()
 	var rep *injectable.Report
-	if err := s.attacker.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: desc, IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: desc, IDSAlerts: tw.idsCounts()}
 	if rep != nil {
 		out.Attempts = rep.AttemptCount()
 		out.Success = rep.Success && verify()
@@ -181,28 +86,19 @@ func RunScenarioAWith(target string, seed uint64, withIDS bool, inst Instrumenta
 }
 
 // RunScenarioB expels the slave and serves a "Hacked" device name (§VI-B).
-func RunScenarioB(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioBWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioBWith is RunScenarioB with observability attached.
-func RunScenarioBWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+func RunScenarioB(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := testbed(target, seed, withIDS, inst)
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	if err := s.connect(); err != nil {
-		return ScenarioOutcome{}, err
-	}
-	srv := forgedNameServer()
 	var hijack *injectable.SlaveHijack
 	var herr error
-	err = s.attacker.HijackSlave(srv, func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
+	err = tw.atk.HijackSlave(hijackServer("Hacked"), func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(40 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(40 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: tw.idsCounts()}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -210,40 +106,32 @@ func RunScenarioBWith(target string, seed uint64, withIDS bool, inst Instrumenta
 
 	// Verify: legitimate slave expelled, master alive, forged name served.
 	var name []byte
-	s.phone.GATT().Read(3, func(v []byte, err error) {
+	tw.phone.GATT().Read(3, func(v []byte, err error) {
 		if err == nil {
 			name = v
 		}
 	})
-	s.w.RunFor(5 * sim.Second)
-	out.Success = !s.target.Connected() && s.phone.Central.Connected() && string(name) == "Hacked"
+	tw.w.RunFor(5 * sim.Second)
+	out.Success = !tw.peripheral.Connected() && tw.phone.Central.Connected() && string(name) == "Hacked"
 	return out, nil
 }
 
 // RunScenarioC splits the slave off with a forged CONNECTION_UPDATE and
 // hijacks the master role (§VI-C).
-func RunScenarioC(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioCWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioCWith is RunScenarioC with observability attached.
-func RunScenarioCWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+func RunScenarioC(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := testbed(target, seed, withIDS, inst)
 	if err != nil {
-		return ScenarioOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
 		return ScenarioOutcome{}, err
 	}
 	var hijack *injectable.MasterHijack
 	var herr error
-	err = s.attacker.HijackMaster(injectable.UpdateParams{},
+	err = tw.atk.HijackMaster(injectable.UpdateParams{},
 		func(h *injectable.MasterHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: tw.idsCounts()}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -251,28 +139,20 @@ func RunScenarioCWith(target string, seed uint64, withIDS bool, inst Instrumenta
 
 	// Verify: attacker owns the slave, legitimate master timed out, and a
 	// scenario-A feature can be triggered through the hijacked role.
-	handle, value, verify, _ := s.featureTrigger()
+	handle, value, verify, _ := tw.featureTrigger()
 	hijack.Client.Write(handle, value, func(error) {})
-	s.w.RunFor(10 * sim.Second)
-	out.Success = !hijack.Conn.Closed() && s.target.Connected() &&
-		!s.phone.Central.Connected() && verify()
+	tw.w.RunFor(10 * sim.Second)
+	out.Success = !hijack.Conn.Closed() && tw.peripheral.Connected() &&
+		!tw.phone.Central.Connected() && verify()
 	return out, nil
 }
 
 // RunScenarioD establishes the MITM and rewrites traffic on the fly
 // (§VI-D): for the smartwatch an SMS is mutated; for the others a write
 // payload is flipped.
-func RunScenarioD(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioDWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioDWith is RunScenarioD with observability attached.
-func RunScenarioDWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+func RunScenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := testbed(target, seed, withIDS, inst)
 	if err != nil {
-		return ScenarioOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
 		return ScenarioOutcome{}, err
 	}
 	mutated := false
@@ -288,42 +168,38 @@ func RunScenarioDWith(target string, seed uint64, withIDS bool, inst Instrumenta
 	}
 	var session *injectable.MITM
 	var merr error
-	err = s.attacker.ManInTheMiddle(injectable.UpdateParams{},
+	err = tw.atk.ManInTheMiddle(injectable.UpdateParams{},
 		injectable.MITMConfig{OnMasterToSlave: mutate},
 		func(m *injectable.MITM, e error) { session, merr = m, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: tw.idsCounts()}
 	if merr != nil || session == nil || session.Closed() {
 		return out, nil
 	}
 	out.Attempts = session.Report.AttemptCount()
 
 	// Send traffic carrying the 0xAA marker through the MITM.
-	handle, _, _, _ := s.featureTrigger()
-	var gotAtSlave []byte
-	switch s.targetName {
-	case "lightbulb":
-		s.bulb.Peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
-	case "keyfob":
-		s.fob.Peripheral.GATT.FindCharacteristic(devices.UUIDAlertLevel).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
-	default:
-		s.watch.Peripheral.GATT.FindCharacteristic(devices.UUIDWatchSMS).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
+	handle, _ := tw.featureWrite()
+	uuid := devices.UUIDBulbControl
+	switch {
+	case tw.fob != nil:
+		uuid = devices.UUIDAlertLevel
+	case tw.watch != nil:
+		uuid = devices.UUIDWatchSMS
 	}
-	s.phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
-	s.w.RunFor(10 * sim.Second)
+	var gotAtSlave []byte
+	tw.peripheral.GATT.FindCharacteristic(uuid).OnWrite = func(v []byte) {
+		gotAtSlave = append([]byte(nil), v...)
+	}
+	tw.phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
+	tw.w.RunFor(10 * sim.Second)
 
 	rewritten := len(gotAtSlave) == 2 && gotAtSlave[0] == 0xBB && gotAtSlave[1] == 0xBB
 	out.Success = mutated && rewritten &&
-		s.phone.Central.Connected() && s.target.Connected()
+		tw.phone.Central.Connected() && tw.peripheral.Connected()
 	return out, nil
 }
 
@@ -341,44 +217,31 @@ type EncryptionOutcome struct {
 // RunEncryptedInjection pairs the devices, encrypts the link, then runs an
 // injection: the paper's claim is confidentiality/integrity hold and only
 // availability is lost (§IV).
-func RunEncryptedInjection(seed uint64) (EncryptionOutcome, error) {
-	return RunEncryptedInjectionWith(seed, Instrumentation{})
-}
-
-// RunEncryptedInjectionWith is RunEncryptedInjection with observability.
-func RunEncryptedInjectionWith(seed uint64, inst Instrumentation) (EncryptionOutcome, error) {
-	s, err := newSceneWith("lightbulb", seed, false, inst)
+func RunEncryptedInjection(seed uint64, inst Instrumentation) (EncryptionOutcome, error) {
+	tw, err := testbed("lightbulb", seed, false, inst)
 	if err != nil {
-		return EncryptionOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
 		return EncryptionOutcome{}, err
 	}
 	var out EncryptionOutcome
-	if err := s.phone.Central.Pair(); err != nil {
+	if err := tw.phone.Central.Pair(); err != nil {
 		return out, err
 	}
-	s.w.RunFor(5 * sim.Second)
-	out.Paired = s.phone.Central.Connected() && s.phone.Central.Conn().Encrypted()
+	tw.w.RunFor(5 * sim.Second)
+	out.Paired = tw.phone.Central.Connected() && tw.phone.Central.Conn().Encrypted()
 	if !out.Paired {
 		return out, nil
 	}
-	dropped := false
-	s.target.OnDisconnect = func(r link.DisconnectReason) {
+	tw.peripheral.OnDisconnect = func(r link.DisconnectReason) {
 		if r.Code == pdu.ErrCodeMICFailure {
-			dropped = true
+			out.ConnectionDropped = true
 		}
 	}
-	var rep *injectable.Report
-	err = s.attacker.InjectWrite(s.bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
+	handle, value := tw.featureWrite()
+	if err := tw.atk.InjectWrite(handle, value, func(injectable.Report) {}); err != nil {
 		return out, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out.FeatureTriggered = s.bulb.On
-	out.ConnectionDropped = dropped
-	_ = rep
+	tw.w.RunFor(60 * sim.Second)
+	out.FeatureTriggered = tw.bulb.On
 	return out, nil
 }
 
@@ -424,13 +287,9 @@ func Fig8Topology() *Table {
 
 // RunScenarioKeystrokes realises the paper's §IX future-work scenario:
 // hijack the slave, present a HID keyboard via Service Changed, and inject
-// keystrokes into the connected host.
-func RunScenarioKeystrokes(seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioKeystrokesWith(seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioKeystrokesWith is RunScenarioKeystrokes with observability.
-func RunScenarioKeystrokesWith(seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+// keystrokes into the connected host. Its central is a computer, not a
+// phone, so it builds its own world.
+func RunScenarioKeystrokes(seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
 	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
 	bulbPos, centralPos, attackerPos := trianglePositions()
 	fob := devices.NewKeyfob(w.NewDevice(host.DeviceConfig{Name: "keyfob", Position: bulbPos}))
@@ -476,11 +335,7 @@ func RunScenarioKeystrokesWith(seed uint64, withIDS bool, inst Instrumentation) 
 	w.RunFor(20 * sim.Second)
 	out.Success = computer.HIDAttached && computer.Typed.Len() > 0
 	if monitor != nil {
-		alerts := make(map[ids.AlertKind]int)
-		for _, a := range monitor.Alerts() {
-			alerts[a.Kind]++
-		}
-		out.IDSAlerts = alerts
+		out.IDSAlerts = alertCounts(monitor)
 	}
 	return out, nil
 }
@@ -502,22 +357,19 @@ func IDSValidation(opts Options) (*Table, error) {
 			Label: "clean", Trials: n,
 			Seed: func(i int) uint64 { return base + uint64(i) },
 			Run: func(t campaign.Trial) (any, error) {
-				s, err := newScene("lightbulb", t.Seed, true)
+				tw, err := testbed("lightbulb", t.Seed, true, Instrumentation{})
 				if err != nil {
 					return nil, err
 				}
-				if err := s.connect(); err != nil {
-					return nil, err
-				}
-				s.w.RunFor(20 * sim.Second) // clean traffic only
-				return injectionAlerts(s.idsCounts()) > 0, nil
+				tw.w.RunFor(20 * sim.Second) // clean traffic only
+				return injectionAlerts(tw.idsCounts()) > 0, nil
 			},
 		},
 		{
 			Label: "attack", Trials: n,
 			Seed: func(i int) uint64 { return base + 1000 + uint64(i) },
 			Run: func(t campaign.Trial) (any, error) {
-				out, err := RunScenarioA("lightbulb", t.Seed, true)
+				out, err := RunScenarioA("lightbulb", t.Seed, true, Instrumentation{})
 				if err != nil {
 					return nil, err
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"injectable/internal/att"
@@ -256,9 +257,12 @@ func (cfg TrialConfig) withDefaults() TrialConfig {
 	return cfg
 }
 
-// trialWorld bundles one trial configuration's world and actors. Exactly
-// one of bulb/fob/watch is non-nil (the victim); peripheral aliases its
-// link-layer peripheral whatever the type.
+// trialWorld bundles one world and its actors: the victim, a central, the
+// attacker and optional monitor and bystanders. Exactly one of
+// bulb/fob/watch is non-nil (the victim); peripheral aliases its
+// link-layer peripheral whatever the type. Every attacker-bearing world in
+// this package — sweep trials, the §VI scenarios, the countermeasure and
+// baseline studies and the figures — is one of these.
 type trialWorld struct {
 	w          *host.World
 	bulb       *devices.Lightbulb
@@ -269,24 +273,40 @@ type trialWorld struct {
 	atk        *injectable.Attacker
 	monitor    *ids.Monitor
 	extras     []*host.Peripheral
+
+	// run is the current attack run's state, reset by attack.
+	run attackRun
+}
+
+// attackRun records how one attack run ended. The attack's completion
+// callbacks write here rather than into closure-captured locals, so a run
+// allocates no per-run bookkeeping.
+type attackRun struct {
+	settled     bool
+	report      *injectable.Report
+	session     *injectable.MITM
+	launchErr   error
+	effectFired bool
 }
 
 // buildTrialWorld constructs the world, devices and attacker for cfg
-// (defaults already applied). The actor wrappers are registered as
-// snapshot roots so a snapshot taken from this world — and RekeyStreams —
-// reaches every piece of their state. Construction order is fixed
-// (victim, central, attacker, then monitor and extras) and the new-world
-// knobs execute nothing when zero, so historical configurations draw the
-// same RNG streams they always did.
-func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
+// (defaults already applied), with inst's tracer and hub on every layer
+// and its pcap writer on the attacker's sniffer (cfg.Obs is not read).
+// The actor wrappers are registered as snapshot roots so a snapshot taken
+// from this world — and RekeyStreams — reaches every piece of their state.
+// Construction order is fixed (victim, central, attacker, then monitor and
+// extras) and the new-world knobs execute nothing when zero, so historical
+// configurations draw the same RNG streams they always did.
+func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error) {
 	w := host.NewWorld(host.WorldConfig{
 		Seed: cfg.Seed,
 		Medium: medium.Config{
 			PathLoss: &phy.LogDistance{Walls: cfg.Walls},
 			Capture:  cfg.Capture,
 		},
-		Obs:   cfg.Obs,
-		Arena: cfg.Arena,
+		Tracer: inst.Tracer,
+		Obs:    inst.Obs,
+		Arena:  cfg.Arena,
 	})
 	tw := &trialWorld{w: w}
 	targetName := cfg.TargetName
@@ -352,6 +372,9 @@ func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
 		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
 	})
 	tw.atk = injectable.NewAttacker(attacker.Stack, cfg.Injector)
+	if inst.Pcap != nil {
+		capturePcap(tw.atk.Sniffer, inst.Pcap)
+	}
 	w.AddSnapshotRoot(victimRoot, tw.phone, tw.atk)
 	if cfg.IDS {
 		tw.monitor = ids.New(ids.Config{})
@@ -387,17 +410,55 @@ func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
 	return tw, nil
 }
 
-// warm advances through connection establishment and attacker
-// synchronisation — everything that happens before the injection run and
-// is identical across the trials of one configuration.
-func (tw *trialWorld) warm(cfg TrialConfig) error {
+// connect is the handshake fast path: the sniffer listens, the victim
+// and any bystanders advertise, the central initiates, and 3 s of virtual
+// time pass. Check the result with syncErr.
+func (tw *trialWorld) connect(ctx context.Context) error {
 	tw.atk.Sniffer.Start()
 	tw.peripheral.StartAdvertising()
 	for _, p := range tw.extras {
 		p.StartAdvertising()
 	}
 	tw.phone.Connect(tw.peripheral.Device.Address())
-	if err := runFor(tw.w, 3*sim.Second, cfg.Ctx); err != nil {
+	return runFor(tw.w, 3*sim.Second, ctx)
+}
+
+// syncErr reports why the attack cannot start yet: the link never formed,
+// or the sniffer missed the handshake.
+func (tw *trialWorld) syncErr() error {
+	if !tw.phone.Central.Connected() {
+		return errors.New("experiments: connection failed")
+	}
+	if !tw.atk.Sniffer.Following() {
+		return errors.New("experiments: sniffer failed to sync")
+	}
+	return nil
+}
+
+// testbed builds the §VI testbed (the Fig. 8 triangle): the named target
+// device ("lightbulb", "keyfob" or "smartwatch") at the origin, a phone
+// central and the attacker, with an optional IDS, and brings the
+// connection up with the attacker synchronised.
+func testbed(target string, seed uint64, withIDS bool, inst Instrumentation) (*trialWorld, error) {
+	cfg := TrialConfig{Seed: seed, Target: target, TargetName: target, CentralName: "phone", IDS: withIDS}
+	tw, err := buildTrialWorld(cfg.withDefaults(), inst)
+	if err != nil {
+		return nil, err
+	}
+	if err := tw.connect(nil); err != nil {
+		return nil, err
+	}
+	if err := tw.syncErr(); err != nil {
+		return nil, err
+	}
+	return tw, nil
+}
+
+// warm advances through connection establishment and attacker
+// synchronisation — everything that happens before the injection run and
+// is identical across the trials of one configuration.
+func (tw *trialWorld) warm(cfg TrialConfig) error {
+	if err := tw.connect(cfg.Ctx); err != nil {
 		return err
 	}
 	// In a crowded cell, bystander advertisements can collide with the
@@ -407,10 +468,7 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 	// let the victim re-advertise, and initiate again. Worlds where the
 	// fast path above succeeds never enter this loop, so their event
 	// streams are untouched.
-	for attempt := 0; attempt < 4; attempt++ {
-		if tw.phone.Central.Connected() && tw.atk.Sniffer.Following() {
-			return nil
-		}
+	for attempt := 0; attempt < 4 && tw.syncErr() != nil; attempt++ {
 		if c := tw.phone.Central.Conn(); c != nil && !c.Closed() {
 			c.Terminate()
 			if err := runFor(tw.w, 500*sim.Millisecond, cfg.Ctx); err != nil {
@@ -425,33 +483,34 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 			return err
 		}
 	}
-	if !tw.phone.Central.Connected() {
-		return fmt.Errorf("experiments: connection failed (seed %d)", cfg.Seed)
-	}
-	if !tw.atk.Sniffer.Following() {
-		return fmt.Errorf("experiments: sniffer failed to sync (seed %d)", cfg.Seed)
+	if err := tw.syncErr(); err != nil {
+		return fmt.Errorf("%w (seed %d)", err, cfg.Seed)
 	}
 	return nil
 }
 
-// effectProbe arms the ground-truth observer for cfg's payload and
-// returns a getter reporting whether the victim visibly executed the
-// injected command (disconnect, for the terminate payload).
-func (tw *trialWorld) effectProbe(cfg TrialConfig) func() bool {
-	if cfg.Payload == PayloadTerminate {
-		fired := false
-		tw.peripheral.OnDisconnect = func(link.DisconnectReason) { fired = true }
-		return func() bool { return fired }
-	}
+// armEffect arms the ground-truth observer for cfg's payload; effect then
+// reports whether the victim visibly executed the injected command
+// (disconnect, for the terminate payload).
+func (tw *trialWorld) armEffect(cfg TrialConfig) {
+	tw.run.effectFired = false
 	switch {
+	case cfg.Payload == PayloadTerminate:
+		tw.peripheral.OnDisconnect = func(link.DisconnectReason) { tw.run.effectFired = true }
+	case tw.bulb != nil:
+		tw.bulb.OnChange = func(string) { tw.run.effectFired = true }
+	}
+}
+
+// effect reads the observer armEffect set up.
+func (tw *trialWorld) effect(cfg TrialConfig) bool {
+	switch {
+	case cfg.Payload == PayloadTerminate || tw.bulb != nil:
+		return tw.run.effectFired
 	case tw.fob != nil:
-		return func() bool { return tw.fob.RingCount > 0 }
-	case tw.watch != nil:
-		return func() bool { return len(tw.watch.Messages) > 0 }
+		return tw.fob.RingCount > 0
 	default:
-		fired := false
-		tw.bulb.OnChange = func(string) { fired = true }
-		return func() bool { return fired }
+		return len(tw.watch.Messages) > 0
 	}
 }
 
@@ -484,18 +543,6 @@ func (tw *trialWorld) frame(cfg TrialConfig) (pdu.DataPDU, error) {
 	return cfg.Payload.frame(handle), nil
 }
 
-// launchAttack fires the goal now, or schedules it cfg.GoalDelay into the
-// run. The returned getter surfaces a deferred launch error after the
-// simulation span completes.
-func (tw *trialWorld) launchAttack(cfg TrialConfig, fire func() error) (deferred func() error, err error) {
-	if cfg.GoalDelay <= 0 {
-		return func() error { return nil }, fire()
-	}
-	var launchErr error
-	tw.w.Sched.After(cfg.GoalDelay, "attack:launch", func() { launchErr = fire() })
-	return func() error { return launchErr }, nil
-}
-
 // finish stamps goal-independent observations onto a result.
 func (tw *trialWorld) finish(res TrialResult) TrialResult {
 	if tw.monitor != nil {
@@ -504,13 +551,26 @@ func (tw *trialWorld) finish(res TrialResult) TrialResult {
 	return res
 }
 
+// goalNouns name each launched goal in "did not settle" errors.
+var goalNouns = map[string]string{
+	"": "injection", GoalInject: "injection", GoalHijackSlave: "slave hijack",
+	GoalHijackMaster: "master hijack", GoalMITM: "mitm", GoalUpdate: "update injection",
+}
+
 // attack performs one attack run against the warmed world, dispatching on
 // the configured goal. The historical single-frame injection is the ""
-// (inject) goal.
+// (inject) goal: inject, then check the heuristic verdict against
+// device-model ground truth.
 func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
+	tw.run = attackRun{}
+	var frame pdu.DataPDU
 	switch cfg.Goal {
 	case "", GoalInject:
-		return tw.attackInject(cfg)
+		tw.armEffect(cfg)
+		var err error
+		if frame, err = tw.frame(cfg); err != nil {
+			return TrialResult{}, err
+		}
 	case GoalNone:
 		if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
 			return TrialResult{}, err
@@ -518,190 +578,113 @@ func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 		// Baseline world: nothing injected, so the heuristic trivially
 		// agrees with the (absent) effect.
 		return tw.finish(TrialResult{HeuristicAgrees: true}), nil
-	case GoalHijackSlave:
-		return tw.attackHijackSlave(cfg)
-	case GoalHijackMaster:
-		return tw.attackHijackMaster(cfg)
-	case GoalMITM:
-		return tw.attackMITM(cfg)
-	case GoalUpdate:
-		return tw.attackUpdate(cfg)
+	case GoalHijackSlave, GoalHijackMaster, GoalMITM, GoalUpdate:
 	default:
 		return TrialResult{}, fmt.Errorf("experiments: unknown attacker goal %q", cfg.Goal)
 	}
-}
-
-// attackInject is the paper's §VI-A single-frame injection run: inject,
-// then check the heuristic verdict against device-model ground truth.
-func (tw *trialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
-	effect := tw.effectProbe(cfg)
-	frame, err := tw.frame(cfg)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	var report *injectable.Report
-	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.Injector.Inject(frame, func(r injectable.Report) { report = &r })
-	})
-	if err != nil {
+	if err := tw.launch(cfg, frame); err != nil {
 		return TrialResult{}, err
 	}
 	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
 		return TrialResult{}, err
 	}
-	if err := deferred(); err != nil {
-		return TrialResult{}, err
+	if tw.run.launchErr != nil {
+		return TrialResult{}, tw.run.launchErr
 	}
-	if report == nil {
-		return TrialResult{}, fmt.Errorf("experiments: injection did not settle in %v", cfg.SimBudget)
+	if !tw.run.settled {
+		return TrialResult{}, fmt.Errorf("experiments: %s did not settle in %v", goalNouns[cfg.Goal], cfg.SimBudget)
 	}
-	return tw.finish(TrialResult{
-		Success:         report.Success,
-		Attempts:        report.AttemptCount(),
-		EffectObserved:  effect(),
-		HeuristicAgrees: report.Success == effect(),
-	}), nil
+	return tw.finish(tw.verdict(cfg)), nil
 }
 
-// attackHijackSlave expels the victim and impersonates it (§VI-B).
-// Success means the impostor holds a live connection to the legitimate
-// master at the end of the budget; the observable effect is the victim's
-// expulsion.
-func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
-	var done bool
-	var report *injectable.Report
-	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.HijackSlave(hijackServer(), func(h *injectable.SlaveHijack, err error) {
-			done = true
+// launch fires the goal now, or schedules it cfg.GoalDelay into the run
+// (a deferred launch's error lands in tw.run.launchErr).
+func (tw *trialWorld) launch(cfg TrialConfig, frame pdu.DataPDU) error {
+	if cfg.GoalDelay <= 0 {
+		return tw.fire(cfg, frame)
+	}
+	// Capture a copy made here: capturing cfg itself would move every
+	// run's config to the heap, delayed or not.
+	delayed := cfg
+	tw.w.Sched.After(cfg.GoalDelay, "attack:launch", func() { tw.run.launchErr = tw.fire(delayed, frame) })
+	return nil
+}
+
+// fire starts cfg's goal; its completion callback records into tw.run.
+func (tw *trialWorld) fire(cfg TrialConfig, frame pdu.DataPDU) error {
+	switch cfg.Goal {
+	case GoalHijackSlave:
+		return tw.atk.HijackSlave(hijackServer("injectable"), func(h *injectable.SlaveHijack, err error) {
+			tw.run.settled = true
 			if err == nil && h != nil {
-				report = &h.Report
+				tw.run.report = &h.Report
 			}
 		})
-	})
-	if err != nil {
-		return TrialResult{}, err
-	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-		return TrialResult{}, err
-	}
-	if err := deferred(); err != nil {
-		return TrialResult{}, err
-	}
-	if !done {
-		return TrialResult{}, fmt.Errorf("experiments: slave hijack did not settle in %v", cfg.SimBudget)
-	}
-	hj := tw.atk.SlaveHijack
-	success := hj != nil && !hj.Conn.Closed() && tw.phone.Central.Connected()
-	expelled := tw.peripheral.Conn() == nil || tw.peripheral.Conn().Closed()
-	return tw.finish(TrialResult{
-		Success:         success,
-		Attempts:        attemptCount(report),
-		EffectObserved:  expelled,
-		HeuristicAgrees: success == expelled,
-	}), nil
-}
-
-// attackHijackMaster splits the victim onto a forged schedule and adopts
-// the master role (§VI-C). Success means the impostor master holds the
-// victim; the observable effect is the legitimate master losing it.
-func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
-	var done bool
-	var report *injectable.Report
-	deferred, err := tw.launchAttack(cfg, func() error {
+	case GoalHijackMaster:
 		return tw.atk.HijackMaster(cfg.Update, func(h *injectable.MasterHijack, err error) {
-			done = true
+			tw.run.settled = true
 			if err == nil && h != nil {
-				report = &h.Report
+				tw.run.report = &h.Report
 			}
 		})
-	})
-	if err != nil {
-		return TrialResult{}, err
-	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-		return TrialResult{}, err
-	}
-	if err := deferred(); err != nil {
-		return TrialResult{}, err
-	}
-	if !done {
-		return TrialResult{}, fmt.Errorf("experiments: master hijack did not settle in %v", cfg.SimBudget)
-	}
-	hj := tw.atk.MasterHijack
-	success := hj != nil && !hj.Conn.Closed()
-	lostSlave := !tw.phone.Central.Connected()
-	return tw.finish(TrialResult{
-		Success:         success,
-		Attempts:        attemptCount(report),
-		EffectObserved:  lostSlave,
-		HeuristicAgrees: success == lostSlave,
-	}), nil
-}
-
-// attackMITM interposes on both roles (§VI-D). Success means the relay
-// session is still alive at the end of the budget; the observable effect
-// is the legitimate master still holding (what it believes to be) its
-// device.
-func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
-	var done bool
-	var session *injectable.MITM
-	deferred, err := tw.launchAttack(cfg, func() error {
+	case GoalMITM:
 		return tw.atk.ManInTheMiddle(cfg.Update, injectable.MITMConfig{}, func(m *injectable.MITM, err error) {
-			done = true
+			tw.run.settled = true
 			if err == nil {
-				session = m
+				tw.run.session = m
 			}
 		})
-	})
-	if err != nil {
-		return TrialResult{}, err
+	case GoalUpdate:
+		return tw.atk.InjectConnectionUpdate(cfg.Update, tw.settle)
+	default:
+		return tw.atk.Injector.Inject(frame, tw.settle)
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-		return TrialResult{}, err
-	}
-	if err := deferred(); err != nil {
-		return TrialResult{}, err
-	}
-	if !done {
-		return TrialResult{}, fmt.Errorf("experiments: mitm did not settle in %v", cfg.SimBudget)
-	}
-	success := session != nil && !session.Closed()
-	relayed := success && tw.phone.Central.Connected()
-	return tw.finish(TrialResult{
-		Success:         success,
-		EffectObserved:  relayed,
-		HeuristicAgrees: success == relayed,
-	}), nil
 }
 
-// attackUpdate injects a forged CONNECTION_UPDATE_IND and walks away: the
-// victim adopts the new schedule at the instant while the legitimate
-// master keeps the old one, silently breaking the connection. The
-// observable effect is the legitimate master losing its slave.
-func (tw *trialWorld) attackUpdate(cfg TrialConfig) (TrialResult, error) {
-	var report *injectable.Report
-	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.InjectConnectionUpdate(cfg.Update, func(r injectable.Report) { report = &r })
-	})
-	if err != nil {
-		return TrialResult{}, err
+// settle records a single-frame injection's report.
+func (tw *trialWorld) settle(r injectable.Report) {
+	tw.run.settled, tw.run.report = true, &r
+}
+
+// verdict judges a settled run. Each goal has its own success criterion
+// and its own ground-truth effect:
+//   - inject (§VI-A): the heuristic verdict against the device model;
+//   - hijack-slave (§VI-B): the impostor holds a live connection to the
+//     legitimate master; the effect is the victim's expulsion;
+//   - hijack-master (§VI-C): the impostor master holds the victim; the
+//     effect is the legitimate master losing it;
+//   - mitm (§VI-D): the relay session is still alive; the effect is the
+//     legitimate master still holding (what it believes to be) its device;
+//   - update: a forged CONNECTION_UPDATE_IND without takeover splits the
+//     schedules; the effect is the legitimate master losing its slave.
+func (tw *trialWorld) verdict(cfg TrialConfig) TrialResult {
+	rep := tw.run.report
+	var success, effect bool
+	switch cfg.Goal {
+	case GoalHijackSlave:
+		hj := tw.atk.SlaveHijack
+		success = hj != nil && !hj.Conn.Closed() && tw.phone.Central.Connected()
+		effect = tw.peripheral.Conn() == nil || tw.peripheral.Conn().Closed()
+	case GoalHijackMaster:
+		hj := tw.atk.MasterHijack
+		success = hj != nil && !hj.Conn.Closed()
+		effect = !tw.phone.Central.Connected()
+	case GoalMITM:
+		success = tw.run.session != nil && !tw.run.session.Closed()
+		effect = success && tw.phone.Central.Connected()
+	case GoalUpdate:
+		success = rep.Success
+		effect = !tw.phone.Central.Connected()
+	default:
+		success = rep.Success
+		effect = tw.effect(cfg)
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-		return TrialResult{}, err
+	return TrialResult{
+		Success:         success,
+		Attempts:        attemptCount(rep),
+		EffectObserved:  effect,
+		HeuristicAgrees: success == effect,
 	}
-	if err := deferred(); err != nil {
-		return TrialResult{}, err
-	}
-	if report == nil {
-		return TrialResult{}, fmt.Errorf("experiments: update injection did not settle in %v", cfg.SimBudget)
-	}
-	lostSlave := !tw.phone.Central.Connected()
-	return tw.finish(TrialResult{
-		Success:         report.Success,
-		Attempts:        report.AttemptCount(),
-		EffectObserved:  lostSlave,
-		HeuristicAgrees: report.Success == lostSlave,
-	}), nil
 }
 
 // attemptCount is a nil-safe report attempt count (a failed hijack's
@@ -713,13 +696,14 @@ func attemptCount(r *injectable.Report) int {
 	return r.AttemptCount()
 }
 
-// hijackServer is the minimal GATT profile an impostor slave serves.
-func hijackServer() *gatt.Server {
+// hijackServer is the minimal GATT profile an impostor slave serves: a
+// GAP service whose Device Name reads name.
+func hijackServer(name string) *gatt.Server {
 	srv := gatt.NewServer(func([]byte) {})
 	srv.AddService(&gatt.Service{
 		UUID: att.UUID16(0x1800),
 		Characteristics: []*gatt.Characteristic{{
-			UUID: att.UUID16(0x2A00), Properties: gatt.PropRead, Value: []byte("injectable"),
+			UUID: att.UUID16(0x2A00), Properties: gatt.PropRead, Value: []byte(name),
 		}},
 	})
 	return srv
@@ -729,7 +713,7 @@ func hijackServer() *gatt.Server {
 // the attacker and performs one attack run.
 func RunTrial(cfg TrialConfig) (TrialResult, error) {
 	cfg = cfg.withDefaults()
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: cfg.Obs})
 	if err != nil {
 		return TrialResult{}, err
 	}

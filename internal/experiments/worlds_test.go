@@ -72,7 +72,7 @@ func worldDigests(t *testing.T) []string {
 		name string
 		run  func(string, uint64, bool, Instrumentation) (ScenarioOutcome, error)
 	}{
-		{"A", RunScenarioAWith}, {"B", RunScenarioBWith}, {"C", RunScenarioCWith}, {"D", RunScenarioDWith},
+		{"A", RunScenarioA}, {"B", RunScenarioB}, {"C", RunScenarioC}, {"D", RunScenarioD},
 	}
 	for _, sc := range scenarios {
 		for _, target := range ScenarioTargets() {
@@ -88,10 +88,10 @@ func worldDigests(t *testing.T) []string {
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		add(fmt.Sprintf("encrypted/seed=%d", seed), instrumentedDigest(t, func(inst Instrumentation) (any, error) {
-			return RunEncryptedInjectionWith(seed, inst)
+			return RunEncryptedInjection(seed, inst)
 		}))
 		add(fmt.Sprintf("keystrokes/seed=%d", seed), instrumentedDigest(t, func(inst Instrumentation) (any, error) {
-			return RunScenarioKeystrokesWith(seed, seed == 2, inst)
+			return RunScenarioKeystrokes(seed, seed == 2, inst)
 		}))
 		add(fmt.Sprintf("app-layer-crypto/seed=%d", seed), plain(RunAppLayerCrypto(seed)))
 		add(fmt.Sprintf("btlejack/seed=%d", seed), plain(RunBTLEJackBaseline(seed)))
