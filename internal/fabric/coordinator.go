@@ -182,16 +182,12 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	var todo []int
 	for _, s := range plan.Shards {
 		if rec, ok := resumed[s.Key]; ok {
-			body, err := normalizeShardBody(rec.Body)
-			if err != nil {
-				return rep, err
-			}
 			rep.Resumed++
 			rep.OK += rec.OK
 			rep.Failed += rec.Failed
 			reg.Counter("fabric.shards_resumed").Inc()
 			cfg.Status.shardPhase(s.Index, ShardResumed, "")
-			if err := release(s.Index, body); err != nil {
+			if err := release(s.Index, rec.Body); err != nil {
 				return rep, err
 			}
 			continue

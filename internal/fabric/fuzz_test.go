@@ -13,7 +13,8 @@ import (
 //   - any records it does return re-encode to a byte-exact prefix of the
 //     input — the invariant OpenJournal's torn-tail truncation rests on;
 //   - re-decoding that re-encoded prefix is lossless;
-//   - an error is always ErrJournalCorrupt (torn tails are not errors).
+//   - an error is always ErrJournalCorrupt or, for an older format's
+//     magic, ErrJournalVersion (torn tails are not errors).
 func FuzzDecodeShardJournal(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(journalMagic))
@@ -28,12 +29,13 @@ func FuzzDecodeShardJournal(f *testing.F) {
 	flipped := append([]byte(nil), one...)
 	flipped[len(flipped)-1] ^= 0x01 // corrupt digest
 	f.Add(flipped)
+	f.Add(append([]byte("IFJ1"), one[len(journalMagic):]...)) // older format
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeShardJournal(data)
 		if err != nil {
-			if !errors.Is(err, ErrJournalCorrupt) {
-				t.Fatalf("decode error is not ErrJournalCorrupt: %v", err)
+			if !errors.Is(err, ErrJournalCorrupt) && !errors.Is(err, ErrJournalVersion) {
+				t.Fatalf("decode error is neither ErrJournalCorrupt nor ErrJournalVersion: %v", err)
 			}
 			return
 		}

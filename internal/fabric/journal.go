@@ -10,7 +10,10 @@ import (
 )
 
 // The shard journal is an append-only checkpoint of completed shards: a
-// 4-byte magic followed by length-prefixed records. Each record carries
+// 4-byte magic followed by length-prefixed records. The magic carries the
+// format version: "IFJ2" journals hold only binary result frames, while
+// "IFJ1" journals could hold NDJSON result lines from before the binary
+// codec and are refused with ErrJournalVersion. Each record carries
 // the shard's canonical key, its plan index, its trailer tallies and its
 // trimmed result payload, sealed with a truncated SHA-256 of the payload.
 // The framing is deliberately in the repo's hand-rolled bit-exact codec
@@ -29,7 +32,7 @@ import (
 //	u16 keyLen | key | u32 index | u32 ok | u32 failed |
 //	u32 bodyLen | body | 8-byte truncated SHA-256(body)
 const (
-	journalMagic   = "IFJ1"
+	journalMagic   = "IFJ2"
 	journalMaxKey  = 128
 	journalDigest  = 8
 	journalMinRec  = 2 + 4 + 4 + 4 + 4 + journalDigest // empty key, empty body
@@ -46,9 +49,7 @@ type ShardRecord struct {
 	OK     int
 	Failed int
 	// Body is the shard's trimmed payload with the per-shard header and
-	// trailer frames removed: raw binary result frames in current
-	// journals, NDJSON result lines in journals written before the
-	// binary codec (normalizeShardBody upgrades those on resume).
+	// trailer frames removed: raw binary result frames.
 	Body []byte
 }
 
@@ -90,11 +91,16 @@ func AppendShardRecord(buf []byte, rec ShardRecord) ([]byte, error) {
 // cleanly to the intact prefix.
 var ErrJournalCorrupt = errors.New("fabric: shard journal corrupt")
 
+// ErrJournalVersion marks a checkpoint in an older journal format. It is
+// never resumed from; delete it and its shards recompute.
+var ErrJournalVersion = errors.New("fabric: shard journal format unsupported")
+
 // DecodeShardJournal parses a shard journal. A truncated final record is
 // tolerated (the records before it are returned with a nil error); a
 // record that is framed as complete but internally inconsistent — lengths
 // that disagree or a payload failing its digest — returns the intact
-// prefix together with an error wrapping ErrJournalCorrupt. An empty
+// prefix together with an error wrapping ErrJournalCorrupt. A journal in
+// an older format returns an error wrapping ErrJournalVersion. An empty
 // input decodes to no records (a journal that was created but never
 // written).
 func DecodeShardJournal(data []byte) ([]ShardRecord, error) {
@@ -102,6 +108,10 @@ func DecodeShardJournal(data []byte) ([]ShardRecord, error) {
 		return nil, nil
 	}
 	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
+		if len(data) >= len(journalMagic) && string(data[:3]) == journalMagic[:3] {
+			return nil, fmt.Errorf("%w: magic %q, want %q (written by an older build; delete it to recompute its shards)",
+				ErrJournalVersion, data[:len(journalMagic)], journalMagic)
+		}
 		return nil, fmt.Errorf("%w: bad magic", ErrJournalCorrupt)
 	}
 	rest := data[len(journalMagic):]

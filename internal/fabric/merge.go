@@ -68,27 +68,3 @@ func splitBinaryShard(stream []byte, wantTrials int) (payload []byte, ok, failed
 	}
 	return payload, tallies.OK, tallies.Failed, nil
 }
-
-// normalizeShardBody upgrades a checkpointed shard body to the binary
-// result-frame form the merger works in. Journals written before the
-// binary codec hold NDJSON result lines — those always open with '{',
-// a byte no binary frame starts with ('R' = 0x52) — so resume keeps
-// working across the format change instead of recomputing the fleet's
-// finished shards.
-func normalizeShardBody(body []byte) ([]byte, error) {
-	if len(body) == 0 || body[0] != '{' {
-		return body, nil
-	}
-	out := make([]byte, 0, len(body))
-	for _, line := range bytes.Split(body, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := campaign.ParseNDJSONResult(line)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: upgrading journaled NDJSON shard body: %w", err)
-		}
-		out = campaign.AppendBinaryRecord(out, rec)
-	}
-	return out, nil
-}
