@@ -35,8 +35,6 @@ type Benchmark struct {
 type Suite struct {
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
-	// CPU is the processor model `go test` reports.
-	CPU string `json:"cpu,omitempty"`
 	// Nproc and GoVersion describe the machine and toolchain that recorded
 	// a baseline (set by the recorder, not parsed from the bench output).
 	Nproc      int         `json:"nproc,omitempty"`
@@ -60,9 +58,6 @@ func Parse(r io.Reader) (*Suite, error) {
 			continue
 		case strings.HasPrefix(line, "goarch:"):
 			s.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			s.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -227,6 +222,6 @@ func gateMetric(name, unit string, base, cur Benchmark, thresholdPct float64, fa
 			status = "warn "
 		}
 	}
-	return fmt.Sprintf("%s %-50s %-10s %14.4g -> %-14.4g (%+.1f%%)",
+	return fmt.Sprintf("%s %-50s %-10s %14.10g -> %-14.10g (%+.1f%%)",
 		status, name, unit, bv, cv, delta), failed, true
 }
