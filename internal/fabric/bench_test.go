@@ -11,10 +11,11 @@ import (
 
 // BenchmarkShardPlanMerge measures the coordinator's deterministic core
 // with the network removed: planning a sweep into shards, and merging
-// pre-rendered shard streams (frame validation, ordered collation, frame
-// re-emission) back into one campaign stream. This is the per-campaign
-// overhead the fabric adds on top of the workers' own compute, so its
-// allocation count is gated strictly.
+// pre-rendered binary shard streams back into one campaign stream the
+// way Run does — splitBinaryShard validation, ordered collation, and
+// the binary header, payloads and trailer written out. This is the
+// per-campaign overhead the fabric adds on top of the workers' own
+// compute, so its allocation count is gated strictly.
 func BenchmarkShardPlanMerge(b *testing.B) {
 	reg := serve.DefaultRegistry()
 	spec := serve.JobSpec{Experiment: "exp1", Trials: 2, SeedBase: 1000}
@@ -41,7 +42,7 @@ func BenchmarkShardPlanMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 			var buf bytes.Buffer
-			runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
+			runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(&buf)}}
 			if _, err := runner.Run(cspec); err != nil {
 				b.Fatal(err)
 			}
@@ -51,27 +52,26 @@ func BenchmarkShardPlanMerge(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := io.Discard
-			if _, err := w.Write(campaign.NDJSONHeader(p.Name, p.SeedBase, p.Points, p.Trials)); err != nil {
+			if _, err := w.Write(campaign.BinaryHeader(p.Name, p.SeedBase, p.Points, p.Trials)); err != nil {
 				b.Fatal(err)
 			}
 			coll := campaign.NewCollator[[]byte](0)
-			trials, ok, failed := 0, 0, 0
+			ok, failed := 0, 0
 			// Reverse order so the collator's pending map does real work.
 			for idx := len(streams) - 1; idx >= 0; idx-- {
-				payload, o, f, err := splitShardStream(streams[idx], p.Shards[idx].Trials)
+				payload, o, f, err := splitBinaryShard(streams[idx], p.Shards[idx].Trials)
 				if err != nil {
 					b.Fatal(err)
 				}
 				ok += o
 				failed += f
-				trials += o + f
 				for _, out := range coll.Add(idx, payload) {
 					if _, err := w.Write(out); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			if _, err := w.Write(campaign.NDJSONTrailer(trials, ok, failed)); err != nil {
+			if _, err := w.Write(campaign.BinaryTrailer(ok+failed, ok, failed)); err != nil {
 				b.Fatal(err)
 			}
 		}
