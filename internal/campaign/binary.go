@@ -12,15 +12,18 @@ import (
 
 // Binary trial-record codec.
 //
-// The NDJSON stream is the human-readable result format; this is the
-// wire format: a length-prefixed, versioned, CRC-sealed binary stream
-// carrying exactly the same deterministic fields, in the repo's
-// hand-rolled bit-exact codec style (fixed magic, uvarint/fixed fields,
-// per-record CRC). The two formats are a lossless bijection through
-// Record — TranscodeBinaryToNDJSON(binary sink bytes) reproduces the
-// NDJSON sink's bytes exactly, and vice versa — so the serving layer
-// can run a campaign once into binary, cache the slab, and materialize
-// NDJSON only for clients that ask for it.
+// This is the one internal results format: a length-prefixed,
+// versioned, CRC-sealed binary stream carrying the deterministic fields
+// of every trial, in the repo's hand-rolled bit-exact codec style (fixed
+// magic, uvarint/fixed fields, per-record CRC). NDJSON is an edge
+// rendering of it: one walker reads every binary stream (ScanBinary,
+// SplitBinaryStream, DecodeBinary and the NDJSON writer all go through
+// it, so they accept the same streams), and one writer renders it as
+// the exact bytes the NDJSON sink writes. The two formats are a lossless
+// bijection through Record, so the serving layer runs a campaign once
+// into binary, caches the slab and renders NDJSON only for clients that
+// ask for it, and the fabric merges shards by concatenating validated
+// result frames.
 //
 // Stream layout:
 //
@@ -40,8 +43,9 @@ import (
 //	end    'E': uvarint trials | uvarint ok | uvarint failed
 //
 // Flags: bit0 OK, bit1 panicked, bit2 timed-out, bit3 err present,
-// bit4 value present; the err/value sections appear only when their
-// flag is set, and never with zero length.
+// bit4 value present; no other bit may be set. The err/value sections
+// appear only when their flag is set, and never with zero length; a
+// value must be JSON, because the NDJSON line embeds it.
 const (
 	binaryMagic = "IBTR"
 	// BinaryVersion is the codec version byte following the magic.
@@ -209,9 +213,8 @@ func corrupt(format string, args ...any) error {
 }
 
 // errShortFrame reports that a frame is incomplete at the end of the
-// buffer — distinct from corruption only for the streaming transcoder,
-// which waits for more bytes; every whole-stream decoder converts it to
-// ErrBinaryCorrupt.
+// buffer: the walker waits for more bytes, and a stream that ends there
+// is ErrBinaryCorrupt.
 var errShortFrame = errors.New("campaign: incomplete binary frame")
 
 // parseUvarint decodes a minimally-encoded uvarint. Non-minimal
@@ -267,16 +270,6 @@ func parseFrame(b []byte) (typ byte, payload []byte, consumed int, err error) {
 		return 0, nil, 0, corrupt("frame CRC mismatch (type %q)", typ)
 	}
 	return typ, payload, head + int(size) + 4, nil
-}
-
-// readFrame is parseFrame over a buffer known to hold the whole stream:
-// a short frame is truncation, which is corruption.
-func readFrame(b []byte) (typ byte, payload []byte, consumed int, err error) {
-	typ, payload, consumed, err = parseFrame(b)
-	if errors.Is(err, errShortFrame) {
-		return 0, nil, 0, corrupt("truncated frame")
-	}
-	return typ, payload, consumed, err
 }
 
 // decodeHeaderPayload parses a header frame's payload.
@@ -339,11 +332,11 @@ func decodeEndPayload(p []byte) (StreamTallies, error) {
 }
 
 // decodeResultPayload parses a result frame's payload. The record's
-// Point is interned against prev when the label repeats (results arrive
-// point-major, so runs of identical labels are the common case) and its
-// Value aliases the payload — callers that retain records across calls
-// must copy.
-func decodeResultPayload(p []byte, prev *Record) (Record, error) {
+// Point is interned against prev, the previous record's label, when the
+// label repeats (results arrive point-major, so runs of identical
+// labels are the common case), and its Value aliases the payload —
+// callers that retain records across calls must copy.
+func decodeResultPayload(p []byte, prev string) (Record, error) {
 	var rec Record
 	pointLen, n, err := readUvarint(p)
 	if err != nil {
@@ -354,8 +347,8 @@ func decodeResultPayload(p []byte, prev *Record) (Record, error) {
 		return rec, corrupt("result point length %d out of range", pointLen)
 	}
 	point := p[:pointLen]
-	if prev != nil && prev.Point != "" && prev.Point == string(point) {
-		rec.Point = prev.Point
+	if prev != "" && prev == string(point) {
+		rec.Point = prev
 	} else {
 		rec.Point = string(point)
 	}
@@ -406,6 +399,9 @@ func decodeResultPayload(p []byte, prev *Record) (Record, error) {
 		if valLen == 0 || valLen > maxBinaryBlob || uint64(len(p)) < valLen {
 			return rec, corrupt("result value length %d out of range", valLen)
 		}
+		if !json.Valid(p[:valLen]) {
+			return rec, corrupt("result value is not JSON")
+		}
 		rec.Value = p[:valLen]
 		p = p[valLen:]
 	}
@@ -415,18 +411,123 @@ func decodeResultPayload(p []byte, prev *Record) (Record, error) {
 	return rec, nil
 }
 
-// checkMagic validates and strips the stream prologue.
-func checkMagic(stream []byte) ([]byte, error) {
-	if len(stream) < len(binaryMagic)+1 {
-		return nil, corrupt("stream shorter than its magic")
+// checkMagic validates the stream prologue at the head of b.
+func checkMagic(b []byte) error {
+	if string(b[:len(binaryMagic)]) != binaryMagic {
+		return corrupt("bad magic %q", b[:len(binaryMagic)])
 	}
-	if string(stream[:len(binaryMagic)]) != binaryMagic {
-		return nil, corrupt("bad magic %q", stream[:len(binaryMagic)])
+	if v := b[len(binaryMagic)]; v != BinaryVersion {
+		return corrupt("unsupported version %d", v)
 	}
-	if v := stream[len(binaryMagic)]; v != BinaryVersion {
-		return nil, corrupt("unsupported version %d", v)
+	return nil
+}
+
+// Walker stages, in the one order a stream may take.
+const (
+	stageMagic   = iota // magic and version byte
+	stageHeader         // the header frame
+	stageResults        // result frames, until the end frame
+	stageDone           // nothing may follow the end frame
+)
+
+// walker is the one reader of the binary stream format. ScanBinary,
+// SplitBinaryStream, DecodeBinary and the NDJSON writer all feed it, so
+// every one of them accepts exactly the same streams. It takes the
+// stream in chunks of any size, enforces magic → header → results → end
+// → nothing, and decodes every frame's payload, result records
+// included.
+type walker struct {
+	stage int
+	// off counts the stream bytes consumed so far; results is the
+	// result-frame region as stream offsets [start, end).
+	off     int
+	results [2]int
+	info    StreamInfo
+	tallies StreamTallies
+	// point is the last record's label, which the next one interns.
+	point string
+}
+
+// feed walks every complete frame at the head of b and returns how many
+// bytes it consumed; an incomplete frame at the tail stays unconsumed
+// for the caller to present again with more bytes. fn, when non-nil,
+// sees each frame in stream order once its payload has decoded: typ is
+// frameHeader, frameResult or frameEnd, and rec — set for result frames
+// only — aliases b. An error from fn ends the walk and is returned as
+// is.
+func (w *walker) feed(b []byte, fn func(typ byte, rec Record) error) (int, error) {
+	n := 0
+	for {
+		rest := b[n:]
+		switch w.stage {
+		case stageMagic:
+			if len(rest) < len(binaryMagic)+1 {
+				return n, nil
+			}
+			if err := checkMagic(rest); err != nil {
+				return n, err
+			}
+			n += len(binaryMagic) + 1
+			w.off += len(binaryMagic) + 1
+			w.stage = stageHeader
+			continue
+		case stageDone:
+			if len(rest) != 0 {
+				return n, corrupt("%d bytes after the end frame", len(rest))
+			}
+			return n, nil
+		}
+		typ, payload, size, err := parseFrame(rest)
+		if errors.Is(err, errShortFrame) {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		var rec Record
+		switch {
+		case w.stage == stageHeader && typ == frameHeader:
+			w.info, err = decodeHeaderPayload(payload)
+			w.stage = stageResults
+			w.results = [2]int{w.off + size, w.off + size}
+		case w.stage == stageHeader:
+			err = corrupt("stream does not open with a header frame (type %q)", typ)
+		case typ == frameResult:
+			rec, err = decodeResultPayload(payload, w.point)
+			w.point = rec.Point
+			w.results[1] = w.off + size
+		case typ == frameEnd:
+			w.tallies, err = decodeEndPayload(payload)
+			w.stage = stageDone
+		default:
+			err = corrupt("frame type %q out of order", typ)
+		}
+		if err == nil && fn != nil {
+			err = fn(typ, rec)
+		}
+		if err != nil {
+			return n, err
+		}
+		n += size
+		w.off += size
 	}
-	return stream[len(binaryMagic)+1:], nil
+}
+
+// end reports whether the walk reached the end frame: a stream that
+// stops anywhere before it is truncated.
+func (w *walker) end() error {
+	if w.stage != stageDone {
+		return corrupt("stream ends before its end frame")
+	}
+	return nil
+}
+
+// walk feeds one complete stream through w.
+func (w *walker) walk(stream []byte, fn func(typ byte, rec Record) error) error {
+	if _, err := w.feed(stream, fn); err != nil {
+		return err
+	}
+	return w.end()
 }
 
 // ScanBinary walks a complete binary stream, calling fn for every
@@ -436,57 +537,14 @@ func checkMagic(stream []byte) ([]byte, error) {
 // violation — including truncation — returns an error wrapping
 // ErrBinaryCorrupt, with fn never called past the violation.
 func ScanBinary(stream []byte, fn func(rec Record) error) (StreamInfo, StreamTallies, error) {
-	var info StreamInfo
-	var tallies StreamTallies
-	rest, err := checkMagic(stream)
-	if err != nil {
-		return info, tallies, err
-	}
-	typ, payload, n, err := readFrame(rest)
-	if err != nil {
-		return info, tallies, err
-	}
-	if typ != frameHeader {
-		return info, tallies, corrupt("stream does not open with a header frame (type %q)", typ)
-	}
-	if info, err = decodeHeaderPayload(payload); err != nil {
-		return info, tallies, err
-	}
-	rest = rest[n:]
-	var prev Record
-	for {
-		if len(rest) == 0 {
-			return info, tallies, corrupt("stream has no end frame")
+	var w walker
+	err := w.walk(stream, func(typ byte, rec Record) error {
+		if typ != frameResult || fn == nil {
+			return nil
 		}
-		typ, payload, n, err = readFrame(rest)
-		if err != nil {
-			return info, tallies, err
-		}
-		rest = rest[n:]
-		switch typ {
-		case frameResult:
-			rec, err := decodeResultPayload(payload, &prev)
-			if err != nil {
-				return info, tallies, err
-			}
-			prev = rec
-			if fn != nil {
-				if err := fn(rec); err != nil {
-					return info, tallies, err
-				}
-			}
-		case frameEnd:
-			if tallies, err = decodeEndPayload(payload); err != nil {
-				return info, tallies, err
-			}
-			if len(rest) != 0 {
-				return info, tallies, corrupt("%d bytes after the end frame", len(rest))
-			}
-			return info, tallies, nil
-		default:
-			return info, tallies, corrupt("unknown frame type %q", typ)
-		}
-	}
+		return fn(rec)
+	})
+	return w.info, w.tallies, err
 }
 
 // DecodeBinary fully decodes a binary stream into its records. The
@@ -516,95 +574,98 @@ func EncodeBinary(info StreamInfo, recs []Record, tallies StreamTallies) []byte 
 	return append(out, BinaryTrailer(tallies.Trials, tallies.OK, tallies.Failed)...)
 }
 
-// SplitBinaryStream validates a complete stream's framing — magic,
-// version, header first, per-frame CRCs, end frame last — without
-// decoding result payloads, and returns the header identity, the raw
-// result-frame region (aliasing stream) and the trailer tallies. This
-// is the fabric merger's primitive: shard payloads validate and merge
-// by frame arithmetic alone, no per-record decode.
+// SplitBinaryStream validates a complete stream exactly as DecodeBinary
+// does and returns the header identity, the raw result-frame region
+// (aliasing stream) and the trailer tallies. This is the fabric
+// merger's primitive: shard payloads validate here, then merge by
+// concatenation without being re-encoded.
 func SplitBinaryStream(stream []byte) (StreamInfo, []byte, StreamTallies, error) {
-	var info StreamInfo
-	var tallies StreamTallies
-	rest, err := checkMagic(stream)
+	var w walker
+	if err := w.walk(stream, nil); err != nil {
+		return w.info, nil, w.tallies, err
+	}
+	return w.info, stream[w.results[0]:w.results[1]], w.tallies, nil
+}
+
+// ndjsonWriter renders the binary frames written to it as NDJSON lines.
+type ndjsonWriter struct {
+	w    io.Writer
+	walk walker
+	// pending holds an incomplete frame back until the next Write.
+	pending []byte
+	line    []byte
+	err     error
+}
+
+// NewNDJSONWriter returns a writer that takes a binary trial stream, in
+// chunks of any size, and writes to w the exact bytes the NDJSON sink
+// would have written for the same campaign: header line, result lines,
+// end line. Each line reaches w in one Write as soon as its frame is
+// complete, so a subscriber tailing a live campaign sees a result as
+// soon as its frame lands. A corrupt frame fails the Write that
+// completes it; Close returns ErrBinaryCorrupt unless the stream
+// reached its end frame. This is the repo's one NDJSON rendering of
+// binary.
+func NewNDJSONWriter(w io.Writer) io.WriteCloser { return &ndjsonWriter{w: w} }
+
+// Write implements io.Writer.
+func (nw *ndjsonWriter) Write(p []byte) (int, error) {
+	if nw.err != nil {
+		return 0, nw.err
+	}
+	buf := p
+	if len(nw.pending) > 0 {
+		nw.pending = append(nw.pending, p...)
+		buf = nw.pending
+	}
+	n, err := nw.walk.feed(buf, nw.render)
 	if err != nil {
-		return info, nil, tallies, err
+		nw.err = err
+		return 0, err
 	}
-	typ, payload, n, err := readFrame(rest)
-	if err != nil {
-		return info, nil, tallies, err
-	}
-	if typ != frameHeader {
-		return info, nil, tallies, corrupt("stream does not open with a header frame (type %q)", typ)
-	}
-	if info, err = decodeHeaderPayload(payload); err != nil {
-		return info, nil, tallies, err
-	}
-	rest = rest[n:]
-	body := rest
-	bodyLen := 0
-	for {
-		if len(rest) == 0 {
-			return info, nil, tallies, corrupt("stream has no end frame")
+	nw.pending = append(nw.pending[:0], buf[n:]...)
+	return len(p), nil
+}
+
+// render writes the NDJSON line of one walked frame.
+func (nw *ndjsonWriter) render(typ byte, rec Record) error {
+	var line []byte
+	switch typ {
+	case frameHeader:
+		i := nw.walk.info
+		line = NDJSONHeader(i.Name, i.SeedBase, i.Points, i.Trials)
+	case frameResult:
+		var err error
+		if nw.line, err = rec.AppendNDJSONLine(nw.line[:0]); err != nil {
+			return err
 		}
-		typ, payload, n, err = readFrame(rest)
-		if err != nil {
-			return info, nil, tallies, err
-		}
-		rest = rest[n:]
-		switch typ {
-		case frameResult:
-			bodyLen += n
-		case frameEnd:
-			if tallies, err = decodeEndPayload(payload); err != nil {
-				return info, nil, tallies, err
-			}
-			if len(rest) != 0 {
-				return info, nil, tallies, corrupt("%d bytes after the end frame", len(rest))
-			}
-			return info, body[:bodyLen], tallies, nil
-		default:
-			return info, nil, tallies, corrupt("unknown frame type %q", typ)
-		}
+		line = nw.line
+	case frameEnd:
+		t := nw.walk.tallies
+		line = NDJSONTrailer(t.Trials, t.OK, t.Failed)
 	}
+	_, err := nw.w.Write(line)
+	return err
+}
+
+// Close implements io.Closer: it reports the first error of any Write,
+// or ErrBinaryCorrupt when the stream stopped before its end frame.
+func (nw *ndjsonWriter) Close() error {
+	if nw.err != nil {
+		return nw.err
+	}
+	return nw.walk.end()
 }
 
 // TranscodeBinaryToNDJSON renders a complete binary stream as the exact
 // NDJSON byte stream the NDJSON sink would have written for the same
 // campaign: header line, result lines, end line.
 func TranscodeBinaryToNDJSON(w io.Writer, stream []byte) error {
-	rest, err := checkMagic(stream)
-	if err != nil {
+	nw := ndjsonWriter{w: w}
+	if _, err := nw.Write(stream); err != nil {
 		return err
 	}
-	typ, payload, _, err := readFrame(rest)
-	if err != nil {
-		return err
-	}
-	if typ != frameHeader {
-		return corrupt("stream does not open with a header frame (type %q)", typ)
-	}
-	info, err := decodeHeaderPayload(payload)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(NDJSONHeader(info.Name, info.SeedBase, info.Points, info.Trials)); err != nil {
-		return err
-	}
-	var buf []byte
-	_, tallies, err := ScanBinary(stream, func(rec Record) error {
-		var lerr error
-		buf, lerr = rec.AppendNDJSONLine(buf[:0])
-		if lerr != nil {
-			return lerr
-		}
-		_, werr := w.Write(buf)
-		return werr
-	})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(NDJSONTrailer(tallies.Trials, tallies.OK, tallies.Failed))
-	return err
+	return nw.Close()
 }
 
 // unmarshalKind parses one NDJSON frame line and checks its kind tag.
@@ -655,178 +716,4 @@ func TranscodeNDJSONToBinary(w io.Writer, stream []byte) error {
 	}
 	_, err := w.Write(BinaryTrailer(end.Trials, end.Ok, end.Failed))
 	return err
-}
-
-// Transcoder stages.
-const (
-	stageMagic = iota
-	stageHeader
-	stageRecords
-	stageDone
-)
-
-// BinaryNDJSONReader incrementally transcodes a binary trial stream to
-// NDJSON as it is produced. It reads binary frames from src — which may
-// deliver them in arbitrary chunks, mid-frame splits included — and
-// serves the corresponding NDJSON lines as soon as each frame
-// completes, so a live subscriber tailing a running campaign sees lines
-// with no more latency than the frames themselves. A source that ends
-// mid-stream (a canceled job) surfaces ErrBinaryCorrupt.
-type BinaryNDJSONReader struct {
-	src     io.Reader
-	in      []byte
-	out     []byte
-	outOff  int
-	stage   int
-	prev    Record
-	buf     []byte
-	srcDone bool
-	err     error
-}
-
-// NewBinaryNDJSONReader returns a reader transcoding src to NDJSON.
-func NewBinaryNDJSONReader(src io.Reader) *BinaryNDJSONReader {
-	return &BinaryNDJSONReader{src: src}
-}
-
-// Read implements io.Reader.
-func (t *BinaryNDJSONReader) Read(p []byte) (int, error) {
-	for {
-		if t.outOff < len(t.out) {
-			n := copy(p, t.out[t.outOff:])
-			t.outOff += n
-			if t.outOff == len(t.out) {
-				t.out, t.outOff = t.out[:0], 0
-			}
-			return n, nil
-		}
-		if t.err != nil {
-			return 0, t.err
-		}
-		if err := t.consume(); err != nil {
-			t.err = err
-			continue
-		}
-		if t.outOff < len(t.out) {
-			continue
-		}
-		if t.stage == stageDone {
-			t.err = io.EOF
-			continue
-		}
-		if t.srcDone {
-			t.err = corrupt("stream ends mid-frame")
-			continue
-		}
-		var chunk [4096]byte
-		n, err := t.src.Read(chunk[:])
-		if n > 0 {
-			t.in = append(t.in, chunk[:n]...)
-		}
-		switch {
-		case err == io.EOF:
-			t.srcDone = true
-		case err != nil:
-			t.err = err
-		}
-	}
-}
-
-// consume transcodes every complete frame buffered in t.in into t.out,
-// leaving any partial tail for the next read.
-func (t *BinaryNDJSONReader) consume() error {
-	for {
-		switch t.stage {
-		case stageMagic:
-			if len(t.in) < len(binaryMagic)+1 {
-				return nil
-			}
-			rest, err := checkMagic(t.in)
-			if err != nil {
-				return err
-			}
-			t.in = rest
-			t.stage = stageHeader
-		case stageHeader, stageRecords:
-			typ, payload, n, err := parseFrame(t.in)
-			if errors.Is(err, errShortFrame) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			switch {
-			case t.stage == stageHeader && typ == frameHeader:
-				info, err := decodeHeaderPayload(payload)
-				if err != nil {
-					return err
-				}
-				t.out = append(t.out, NDJSONHeader(info.Name, info.SeedBase, info.Points, info.Trials)...)
-				t.stage = stageRecords
-			case t.stage == stageRecords && typ == frameResult:
-				rec, err := decodeResultPayload(payload, &t.prev)
-				if err != nil {
-					return err
-				}
-				// Render before advancing t.in: rec.Value aliases the
-				// payload. prev keeps only the label for interning.
-				line, lerr := rec.AppendNDJSONLine(t.buf[:0])
-				if lerr != nil {
-					return lerr
-				}
-				t.buf = line
-				t.out = append(t.out, line...)
-				t.prev = Record{Point: rec.Point}
-			case t.stage == stageRecords && typ == frameEnd:
-				tl, err := decodeEndPayload(payload)
-				if err != nil {
-					return err
-				}
-				t.out = append(t.out, NDJSONTrailer(tl.Trials, tl.OK, tl.Failed)...)
-				t.stage = stageDone
-			default:
-				return corrupt("frame type %q out of order", typ)
-			}
-			t.in = t.in[n:]
-		case stageDone:
-			if len(t.in) != 0 {
-				return corrupt("%d bytes after the end frame", len(t.in))
-			}
-			return nil
-		}
-	}
-}
-
-// TranscodeResultFrames renders a raw result-frame region — the slice
-// between header and end frames, as returned by SplitBinaryStream — as
-// NDJSON result lines. The fabric coordinator merges shard payloads in
-// this form and uses this to emit its default NDJSON output without
-// ever materializing records.
-func TranscodeResultFrames(w io.Writer, payload []byte) error {
-	var prev Record
-	var buf []byte
-	rest := payload
-	for len(rest) > 0 {
-		typ, p, n, err := readFrame(rest)
-		if err != nil {
-			return err
-		}
-		if typ != frameResult {
-			return corrupt("frame type %q inside a result region", typ)
-		}
-		rec, err := decodeResultPayload(p, &prev)
-		if err != nil {
-			return err
-		}
-		buf, err = rec.AppendNDJSONLine(buf[:0])
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		prev = Record{Point: rec.Point}
-		rest = rest[n:]
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -204,44 +205,103 @@ func TestBinaryTruncationAndCorruptionError(t *testing.T) {
 	}
 }
 
-// chunkReader yields its payload in fixed-size chunks to force mid-frame
-// splits through the streaming transcoder.
-type chunkReader struct {
-	data []byte
-	n    int
+// writeChunks feeds stream to an NDJSON writer in chunks of n bytes
+// (mid-frame splits included) and returns what it rendered, with the
+// first Write error or else Close's verdict.
+func writeChunks(stream []byte, n int) ([]byte, error) {
+	var out bytes.Buffer
+	w := NewNDJSONWriter(&out)
+	for len(stream) > 0 {
+		k := min(n, len(stream))
+		if _, err := w.Write(stream[:k]); err != nil {
+			return out.Bytes(), err
+		}
+		stream = stream[k:]
+	}
+	return out.Bytes(), w.Close()
 }
 
-func (c *chunkReader) Read(p []byte) (int, error) {
-	if len(c.data) == 0 {
-		return 0, io.EOF
-	}
-	n := c.n
-	if n > len(c.data) {
-		n = len(c.data)
-	}
-	if n > len(p) {
-		n = len(p)
-	}
-	copy(p, c.data[:n])
-	c.data = c.data[n:]
-	return n, nil
-}
-
-func TestBinaryNDJSONReaderStreams(t *testing.T) {
+func TestNDJSONWriterChunks(t *testing.T) {
 	ndjson, bin := runSinks(t, mixedSpec(3, 8), 4)
 	for _, chunk := range []int{1, 3, 7, 64, 1 << 20} {
-		got, err := io.ReadAll(NewBinaryNDJSONReader(&chunkReader{data: bin, n: chunk}))
+		got, err := writeChunks(bin, chunk)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
 		if !bytes.Equal(got, ndjson) {
-			t.Fatalf("chunk=%d: streamed transcode differs from live NDJSON", chunk)
+			t.Fatalf("chunk=%d: streamed rendering differs from live NDJSON", chunk)
 		}
 	}
 	// A source that ends mid-stream is an error, not silent truncation.
-	_, err := io.ReadAll(NewBinaryNDJSONReader(&chunkReader{data: bin[:len(bin)-3], n: 8}))
-	if !errors.Is(err, ErrBinaryCorrupt) {
+	if _, err := writeChunks(bin[:len(bin)-3], 8); !errors.Is(err, ErrBinaryCorrupt) {
 		t.Fatalf("truncated live stream: err = %v, want ErrBinaryCorrupt", err)
+	}
+}
+
+// withResultFrame seals payload as a result frame with a valid CRC and
+// wraps it in a one-trial stream, so only the payload itself is wrong.
+func withResultFrame(payload []byte) []byte {
+	stream := BinaryHeader("c", 1, 1, 1)
+	stream = appendFrame(stream, frameResult, payload)
+	return append(stream, BinaryTrailer(1, 1, 0)...)
+}
+
+// resultPayload builds a result payload for point "p", trial 0, seed 7
+// with the given flags byte and trailing sections, bypassing
+// AppendBinaryRecord's canonical encoding.
+func resultPayload(flags byte, sections ...byte) []byte {
+	p := []byte{1, 'p', 0}
+	p = binary.LittleEndian.AppendUint64(p, 7)
+	return append(append(p, flags), sections...)
+}
+
+// crcValidCorruptStreams are streams whose every frame carries a valid
+// CRC but whose result payload does not decode. A reader that trusts
+// the CRC without decoding the payload accepts them.
+func crcValidCorruptStreams() map[string][]byte {
+	nonMinimal := []byte{1, 'p', 0x80, 0x00} // trial 0 in two bytes
+	nonMinimal = binary.LittleEndian.AppendUint64(nonMinimal, 7)
+	nonMinimal = append(nonMinimal, flagOK)
+	return map[string][]byte{
+		"unknown-flags":       withResultFrame(resultPayload(flagOK | 0x20)),
+		"non-minimal-uvarint": withResultFrame(nonMinimal),
+		"empty-err":           withResultFrame(resultPayload(flagErr, 0)),
+		"empty-value":         withResultFrame(resultPayload(flagOK|flagValue, 0)),
+		"value-not-json":      withResultFrame(resultPayload(flagOK|flagValue, 3, 'a', 'b', 'c')),
+	}
+}
+
+// TestEveryReaderRejectsCRCValidCorruption: every entry point reads
+// binary streams through the one walker, so none of them accepts a
+// stream another rejects.
+func TestEveryReaderRejectsCRCValidCorruption(t *testing.T) {
+	readers := map[string]func([]byte) error{
+		"DecodeBinary": func(b []byte) error {
+			_, _, _, err := DecodeBinary(b)
+			return err
+		},
+		"ScanBinary": func(b []byte) error {
+			_, _, err := ScanBinary(b, nil)
+			return err
+		},
+		"SplitBinaryStream": func(b []byte) error {
+			_, _, _, err := SplitBinaryStream(b)
+			return err
+		},
+		"TranscodeBinaryToNDJSON": func(b []byte) error {
+			return TranscodeBinaryToNDJSON(io.Discard, b)
+		},
+		"NDJSONWriter/1-byte": func(b []byte) error {
+			_, err := writeChunks(b, 1)
+			return err
+		},
+	}
+	for name, stream := range crcValidCorruptStreams() {
+		for reader, read := range readers {
+			if err := read(stream); !errors.Is(err, ErrBinaryCorrupt) {
+				t.Errorf("%s: %s err = %v, want ErrBinaryCorrupt", name, reader, err)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,9 @@ import (
 //     exist for exactly this);
 //   - SplitBinaryStream agrees with the full decode on every accepted
 //     stream;
+//   - the NDJSON writer, fed the whole input or one byte at a time,
+//     accepts exactly when the full decode does, and renders the decoded
+//     records line by line;
 //   - every rejection is ErrBinaryCorrupt — truncation included, since a
 //     result stream has no tolerated torn tail.
 func FuzzDecodeTrialRecord(f *testing.F) {
@@ -48,6 +51,8 @@ func FuzzDecodeTrialRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, recs, tallies, err := DecodeBinary(data)
+		whole, werr := writeChunks(data, max(len(data), 1))
+		bytewise, berr := writeChunks(data, 1)
 		if err != nil {
 			if !errors.Is(err, ErrBinaryCorrupt) {
 				t.Fatalf("decode error is not ErrBinaryCorrupt: %v", err)
@@ -55,7 +60,23 @@ func FuzzDecodeTrialRecord(f *testing.F) {
 			if _, _, _, serr := SplitBinaryStream(data); serr == nil {
 				t.Fatalf("decode rejected but split accepted")
 			}
+			if !errors.Is(werr, ErrBinaryCorrupt) || !errors.Is(berr, ErrBinaryCorrupt) {
+				t.Fatalf("decode rejected but the NDJSON writer says %v (whole), %v (1-byte)", werr, berr)
+			}
 			return
+		}
+		if werr != nil || berr != nil {
+			t.Fatalf("decode accepted but the NDJSON writer says %v (whole), %v (1-byte)", werr, berr)
+		}
+		want := NDJSONHeader(info.Name, info.SeedBase, info.Points, info.Trials)
+		for _, rec := range recs {
+			if want, err = rec.AppendNDJSONLine(want); err != nil {
+				t.Fatalf("rendering a decoded record: %v", err)
+			}
+		}
+		want = append(want, NDJSONTrailer(tallies.Trials, tallies.OK, tallies.Failed)...)
+		if !bytes.Equal(whole, want) || !bytes.Equal(bytewise, want) {
+			t.Fatalf("NDJSON writer output differs from the decoded records rendered line by line")
 		}
 		if !bytes.Equal(EncodeBinary(info, recs, tallies), data) {
 			t.Fatalf("accepted stream does not re-encode to itself")

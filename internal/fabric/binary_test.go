@@ -3,9 +3,15 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"injectable/internal/campaign"
@@ -122,5 +128,88 @@ func TestOpenJournalRejectsOldFormat(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
 		t.Fatal("rejected journal was modified")
+	}
+}
+
+// withUnknownFlag returns stream with its first result frame's flags
+// byte given a bit the codec does not define, CRC re-sealed: a frame
+// only a reader that decodes the payload can reject.
+func withUnknownFlag(stream []byte) (bad, frame []byte, err error) {
+	info, recs, tallies, err := campaign.DecodeBinary(stream)
+	if err != nil || len(recs) == 0 {
+		return nil, nil, fmt.Errorf("worker stream holds %d records: %v", len(recs), err)
+	}
+	first := recs[0]
+	if first.Trial >= 1<<7 || len(first.Point) >= 1<<7 {
+		return nil, nil, errors.New("record needs multi-byte uvarints")
+	}
+	frame = campaign.AppendBinaryRecord(nil, first)
+	payload := frame[2 : len(frame)-4]      // type and one-byte length; CRC
+	payload[1+len(first.Point)+1+8] |= 0x20 // past label, trial and seed
+	table := crc32.MakeTable(crc32.Castagnoli)
+	crc := crc32.Update(crc32.Checksum(frame[:1], table), table, payload)
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc)
+
+	bad = campaign.BinaryHeader(info.Name, info.SeedBase, info.Points, info.Trials)
+	bad = append(bad, frame...)
+	for _, rec := range recs[1:] {
+		bad = campaign.AppendBinaryRecord(bad, rec)
+	}
+	return append(bad, campaign.BinaryTrailer(tallies.Trials, tallies.OK, tallies.Failed)...), frame, nil
+}
+
+// TestFabricRedispatchesUndecodableShard: a worker whose first shard
+// stream holds a CRC-valid frame that does not decode has that shard
+// redispatched; the frame never reaches the journal or the merge.
+func TestFabricRedispatchesUndecodableShard(t *testing.T) {
+	want := serialStream(t)
+	srv := serve.NewServer(serve.Config{QueueCap: 32, JobWorkers: 1, TrialWorkers: 2})
+	t.Cleanup(srv.Close)
+	var badFrame atomic.Pointer[[]byte]
+	var served atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) > 1 {
+			srv.Handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		bad, frame, err := withUnknownFlag(rec.Body.Bytes())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		badFrame.Store(&frame)
+		w.Header().Set("Content-Type", serve.BinaryContentType)
+		w.Write(bad)
+	}))
+	t.Cleanup(hs.Close)
+
+	path := filepath.Join(t.TempDir(), "shards.journal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged bytes.Buffer
+	rep, err := Run(context.Background(), Config{
+		Workers: []string{hs.URL},
+		Journal: j,
+	}, plan(t, 0), &merged)
+	j.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Retried != 1 || rep.Dispatched != 7 {
+		t.Fatalf("report %+v, want 1 redispatch of 7 dispatches", rep)
+	}
+	if !bytes.Equal(merged.Bytes(), want) {
+		t.Fatal("merged stream differs from serial run")
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame := badFrame.Load(); frame == nil || bytes.Contains(journal, *frame) {
+		t.Fatal("the undecodable frame reached the journal")
 	}
 }

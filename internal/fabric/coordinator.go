@@ -49,8 +49,8 @@ type Config struct {
 	// serve.FormatNDJSON (the default, byte-identical to a single-process
 	// NDJSON run) or serve.FormatBinary (byte-identical to a
 	// single-process binary run). Shard streams always travel binary
-	// between workers and coordinator regardless of this setting; it only
-	// picks the final rendering.
+	// between workers and coordinator, and the merge is always binary;
+	// NDJSON output is that merge passed through the NDJSON writer.
 	Format string
 }
 
@@ -84,16 +84,19 @@ type Report struct {
 	Bytes int64
 }
 
-// mergeWriter adapts the coordinator's byte-counting write closure to
-// io.Writer for the streaming transcoder.
-type mergeWriter func([]byte) error
-
-func (f mergeWriter) Write(p []byte) (int, error) {
-	if err := f(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+// byteCount counts the merged stream's bytes as they reach w.
+type byteCount struct {
+	w io.Writer
+	n *int64
 }
+
+func (c byteCount) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	*c.n += int64(n)
+	return n, err
+}
+
+func (byteCount) Close() error { return nil }
 
 // outcome is one shard dispatch attempt's result, or a worker obituary.
 type outcome struct {
@@ -114,19 +117,18 @@ type outcome struct {
 //
 // Internally every shard travels as binary trial-record frames: workers
 // answer /v1/run?format=binary (their cached slab, zero-copy on hits),
-// the coordinator validates the frame walk and trailer tallies, journals
-// the raw frames, and merges by concatenation — records are only decoded
-// at the very edge, and only when the merged output is NDJSON.
+// and the coordinator validates every record and the trailer tallies
+// (SplitBinaryStream), journals the raw result frames, and merges by
+// concatenation under one binary header and trailer, without re-encoding
+// a record. NDJSON output is that binary merge rendered by
+// campaign.NewNDJSONWriter on its way to w.
 func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fabric: no workers configured")
 	}
-	binaryOut := false
 	switch cfg.Format {
-	case "", serve.FormatNDJSON:
-	case serve.FormatBinary:
-		binaryOut = true
+	case "", serve.FormatNDJSON, serve.FormatBinary:
 	default:
 		return nil, fmt.Errorf("fabric: unknown output format %q", cfg.Format)
 	}
@@ -137,16 +139,11 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	lg.Info("campaign starting", "campaign", plan.Key, "shards", len(plan.Shards),
 		"workers", len(cfg.Workers), "trials", plan.Trials)
 
-	countWrite := func(p []byte) error {
-		n, err := w.Write(p)
-		rep.Bytes += int64(n)
-		return err
+	var out io.WriteCloser = byteCount{w, &rep.Bytes}
+	if cfg.Format != serve.FormatBinary {
+		out = campaign.NewNDJSONWriter(out)
 	}
-	header := campaign.NDJSONHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)
-	if binaryOut {
-		header = campaign.BinaryHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)
-	}
-	if err := countWrite(header); err != nil {
+	if _, err := out.Write(campaign.BinaryHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)); err != nil {
 		return rep, fmt.Errorf("fabric: writing merged header: %w", err)
 	}
 
@@ -166,14 +163,8 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	}
 	release := func(idx int, payload []byte) error {
 		for _, p := range coll.Add(idx, payload) {
-			if binaryOut {
-				if err := countWrite(p); err != nil {
-					return fmt.Errorf("fabric: writing merged payload: %w", err)
-				}
-				continue
-			}
-			if err := campaign.TranscodeResultFrames(mergeWriter(countWrite), p); err != nil {
-				return fmt.Errorf("fabric: rendering merged payload: %w", err)
+			if _, err := out.Write(p); err != nil {
+				return fmt.Errorf("fabric: writing merged payload: %w", err)
 			}
 		}
 		return nil
@@ -204,13 +195,13 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	}
 
 	rep.Trials = rep.OK + rep.Failed
-	trailer := campaign.NDJSONTrailer(rep.Trials, rep.OK, rep.Failed)
-	if binaryOut {
-		trailer = campaign.BinaryTrailer(rep.Trials, rep.OK, rep.Failed)
-	}
-	if err := countWrite(trailer); err != nil {
+	if _, err := out.Write(campaign.BinaryTrailer(rep.Trials, rep.OK, rep.Failed)); err != nil {
 		cfg.Status.finish(err)
 		return rep, fmt.Errorf("fabric: writing merged trailer: %w", err)
+	}
+	if err := out.Close(); err != nil {
+		cfg.Status.finish(err)
+		return rep, fmt.Errorf("fabric: rendering merged stream: %w", err)
 	}
 	reg.Counter("fabric.campaigns_merged").Inc()
 	cfg.Status.finish(nil)

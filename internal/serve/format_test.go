@@ -323,3 +323,72 @@ func TestAggregateClient(t *testing.T) {
 		t.Fatalf("aggregate = %+v, want 8 trials over 2 points", agg)
 	}
 }
+
+// TestLiveSubscribers attaches an NDJSON and an SSE subscriber to a job
+// whose trials are held, so both render the stream live through the
+// NDJSON writer rather than replaying a sealed slab. The NDJSON
+// subscriber must receive exactly the memoized sealed NDJSON, the SSE
+// subscriber those lines as "result" events in order and then "end",
+// and serve.stream_bytes must grow by every byte both clients received.
+func TestLiveSubscribers(t *testing.T) {
+	hub := obs.NewHub()
+	started := make(chan string, 16)
+	release := make(chan struct{})
+	s := NewServer(Config{Registry: stubRegistry(nil, started, release), Hub: hub, TrialWorkers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	j, _, err := s.Submit(JobSpec{Experiment: "slow", Trials: 5, SeedBase: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // running, with its trials held
+	egress := hub.Reg().Counter("serve.stream_bytes")
+	before := egress.Value()
+	// Response headers arrive with the first flushed line, so each
+	// subscriber is streaming live once its GET returns.
+	subscribe := func(query string) *http.Response {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.id + "/results" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ndResp, sseResp := subscribe(""), subscribe("?format=sse")
+	if _, sealed := j.buf.sealedBytes(); sealed {
+		t.Fatal("job sealed before its trials were released")
+	}
+	close(release)
+	readAll := func(resp *http.Response) []byte {
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	nd, sse := readAll(ndResp), readAll(sseResp)
+	<-j.done
+
+	sealed, ok := s.ndjsonSlab(j)
+	if !ok {
+		t.Fatal("finished job has no memoized NDJSON")
+	}
+	if !bytes.Equal(nd, sealed) {
+		t.Fatalf("live NDJSON differs from the sealed NDJSON:\nlive   %q\nsealed %q", nd, sealed)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(sealed), "\n") {
+		if line != "" {
+			fmt.Fprintf(&want, "event: result\ndata: %s\n", line)
+		}
+	}
+	want.WriteString("event: end\ndata: {}\n\n")
+	if string(sse) != want.String() {
+		t.Fatalf("live SSE differs from the sealed NDJSON lines:\ngot  %q\nwant %q", sse, want.String())
+	}
+	if got := egress.Value() - before; got != int64(len(nd)+len(sse)) {
+		t.Fatalf("serve.stream_bytes grew by %d, clients received %d", got, len(nd)+len(sse))
+	}
+}

@@ -107,9 +107,10 @@ type JobInfo struct {
 
 // streamBuf is a broadcast byte buffer: one writer appends, any number of
 // readers consume from their own offset, blocking until more bytes arrive
-// or the stream is sealed. Sealing is idempotent. The campaign NDJSON
+// or the stream is sealed. Sealing is idempotent. The campaign Binary
 // sink writes into it, so every subscriber — including ones that attach
-// mid-run — observes the exact same byte sequence.
+// mid-run — observes the exact same byte sequence (NDJSON and SSE
+// subscribers through the NDJSON writer).
 type streamBuf struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -651,7 +650,7 @@ func jobQuery(r *http.Request) (JobSpec, error) {
 // serveStream writes job j's result stream in the negotiated format.
 // Completed streams go out zero-copy: binary replays the sealed slab
 // itself, NDJSON replays the per-cache-entry memoized transcode. Live
-// streams flow through the broadcast buffer — transcoded frame-by-frame
+// streams flow from the broadcast buffer — through the NDJSON writer
 // for NDJSON/SSE subscribers — so every consumer sees per-trial results
 // as they land.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, format string) {
@@ -662,7 +661,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, slab)
 			return
 		}
-		s.streamCopy(w, j.buf.reader(r.Context()))
+		s.streamLive(w, r, j, s.egress(w))
 	case formatSSE:
 		s.streamSSE(w, r, j)
 	default:
@@ -671,13 +670,13 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, nd)
 			return
 		}
-		s.streamCopy(w, campaign.NewBinaryNDJSONReader(j.buf.reader(r.Context())))
+		s.streamLive(w, r, j, campaign.NewNDJSONWriter(s.egress(w)))
 	}
 }
 
 // ndjsonSlab returns the memoized NDJSON rendering of a completed,
 // cached job's slab. Jobs that finished without entering the cache
-// (timed-out trials, failures) fall back to the streaming transcoder.
+// (timed-out trials, failures) fall back to the live NDJSON writer.
 func (s *Server) ndjsonSlab(j *job) ([]byte, bool) {
 	c, ok := s.cache.get(j.key)
 	if !ok || c.jobID != j.id {
@@ -838,20 +837,37 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(spans)
 }
 
-// streamCopy copies the job stream to the client, flushing as bytes
-// arrive so subscribers see per-trial results live. Every byte sent is
-// counted in serve.stream_bytes, so egress volume is visible fleet-wide.
-func (s *Server) streamCopy(w http.ResponseWriter, src interface{ Read([]byte) (int, error) }) {
+// egress is the client end of a live stream: it counts every byte the
+// client is sent in serve.stream_bytes, so egress volume is visible
+// fleet-wide.
+type egress struct {
+	w io.Writer
+	n *obs.Counter
+}
+
+func (s *Server) egress(w io.Writer) egress {
+	return egress{w, s.reg().Counter("serve.stream_bytes")}
+}
+
+func (e egress) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	e.n.Add(int64(n))
+	return n, err
+}
+
+// streamLive copies job j's broadcast stream into dst — the client's
+// egress, or an NDJSON writer over it — flushing w after every chunk so
+// subscribers see per-trial results as they land.
+func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, j *job, dst io.Writer) {
 	fl, _ := w.(http.Flusher)
-	egress := s.reg().Counter("serve.stream_bytes")
+	src := j.buf.reader(r.Context())
 	buf := make([]byte, 32*1024)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			egress.Add(int64(n))
 			if fl != nil {
 				fl.Flush()
 			}
@@ -862,25 +878,33 @@ func (s *Server) streamCopy(w http.ResponseWriter, src interface{ Read([]byte) (
 	}
 }
 
+// sseEvents frames each NDJSON line written to it as one server-sent
+// "result" event; the NDJSON writer hands over one whole line, newline
+// included, per Write.
+type sseEvents struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (e *sseEvents) Write(line []byte) (int, error) {
+	e.buf = append(e.buf[:0], "event: result\ndata: "...)
+	e.buf = append(append(e.buf, line...), '\n')
+	if _, err := e.w.Write(e.buf); err != nil {
+		return 0, err
+	}
+	return len(line), nil
+}
+
 // streamSSE reframes the stream as server-sent events: one "result"
-// event per NDJSON line (transcoded live from the binary buffer), then
-// a terminal "end" event.
+// event per NDJSON line, rendered live from the binary buffer, then a
+// terminal "end" event.
 func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	fl, _ := w.(http.Flusher)
-	sc := bufio.NewScanner(campaign.NewBinaryNDJSONReader(j.buf.reader(r.Context())))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if _, err := fmt.Fprintf(w, "event: result\ndata: %s\n\n", sc.Bytes()); err != nil {
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	fmt.Fprint(w, "event: end\ndata: {}\n\n")
-	if fl != nil {
+	out := s.egress(w)
+	s.streamLive(w, r, j, campaign.NewNDJSONWriter(&sseEvents{w: out}))
+	_, _ = io.WriteString(out, "event: end\ndata: {}\n\n") // a client gone away leaves nothing to report
+	if fl, ok := w.(http.Flusher); ok {
 		fl.Flush()
 	}
 }
