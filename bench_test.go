@@ -184,7 +184,9 @@ func BenchmarkFig9Exp3Distance(b *testing.B) {
 				Interval: 36, Payload: experiments.PayloadPowerOff,
 				CentralPos:  phy.Position{X: 2},
 				AttackerPos: phy.Position{X: -d},
-				PhoneGrade:  true,
+				// A phone-grade central, as in exp3Points.
+				CentralPPM:    50,
+				CentralJitter: 8 * sim.Microsecond,
 			}, uint64(d)*10000)
 		})
 	}
@@ -200,7 +202,9 @@ func BenchmarkFig9Exp3Wall(b *testing.B) {
 				CentralPos:  phy.Position{X: 2},
 				AttackerPos: phy.Position{X: -d},
 				Walls:       []phy.Wall{wall},
-				PhoneGrade:  true,
+				// A phone-grade central, as in exp3Points.
+				CentralPPM:    50,
+				CentralJitter: 8 * sim.Microsecond,
 			}, uint64(d)*20000)
 		})
 	}

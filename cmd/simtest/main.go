@@ -1,11 +1,13 @@
 // Command simtest runs the cross-layer invariant swarm from the command
 // line: randomized worlds for soak testing, single-seed reproduction, and
-// seed shrinking.
+// seed shrinking. A world is a scenario spec (the JSON POST /v1/scenario
+// accepts) plus the simtest-only knobs jammer and breakWidening.
 //
 //	simtest -worlds 500                 # swarm over seeds [1, 501)
 //	simtest -seed 42                    # rerun one generated world
 //	simtest -seed 42 -shrink            # ...and minimise it if it fails
-//	simtest -seed 42 -base -p breakWidening=0.5   # explicit world
+//	simtest -seed 42 -spec '{"version":1}' -p breakWidening=0.5   # explicit world
+//	simtest -seed 42 -spec world.json   # ...with the spec read from a file
 package main
 
 import (
@@ -13,8 +15,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
+	"injectable/internal/scenario"
 	"injectable/internal/simtest"
 )
 
@@ -22,70 +26,141 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// paramFlags collects repeated -p key=value overrides.
-type paramFlags []string
+// knobFlags collects repeated -p key=value overrides.
+type knobFlags []string
 
-func (p *paramFlags) String() string { return strings.Join(*p, ",") }
+func (p *knobFlags) String() string { return strings.Join(*p, ",") }
 
-func (p *paramFlags) Set(v string) error {
+func (p *knobFlags) Set(v string) error {
 	*p = append(*p, v)
 	return nil
 }
 
-func run(argv []string, stdout, stderr io.Writer) int {
+// options is a parsed command line.
+type options struct {
+	seed         int64
+	worlds       int
+	seedBase     uint64
+	parallel     int
+	shrink, fork bool
+	verbose      bool
+	spec         *scenario.Spec // nil: generate each world from its seed
+	knobs        knobFlags
+}
+
+// parse reads the command line; a usage error has already been reported
+// on stderr.
+func parse(argv []string, stderr io.Writer) (options, error) {
+	var o options
 	fs := flag.NewFlagSet("simtest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		seed     = fs.Int64("seed", -1, "run a single world with this seed (default: swarm mode)")
-		worlds   = fs.Int("worlds", 50, "swarm mode: number of consecutive seeds to run")
-		seedBase = fs.Uint64("seed-base", 1, "swarm mode: first seed")
-		parallel = fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS); results are identical at any value")
-		shrink   = fs.Bool("shrink", false, "on failure, minimise the world and print a repro command")
-		fork     = fs.Bool("fork", false, "fork-equivalence mode: snapshot each world mid-run, replay it, and require identical timelines")
-		base     = fs.Bool("base", false, "start from default parameters instead of generating from the seed")
-		verbose  = fs.Bool("v", false, "print one line per world")
-		overs    paramFlags
-	)
-	fs.Var(&overs, "p", "override a parameter (key=value, repeatable; run with an unknown key to list them)")
+	fs.Int64Var(&o.seed, "seed", -1, "run a single world with this seed (default: swarm mode)")
+	fs.IntVar(&o.worlds, "worlds", 50, "swarm mode: number of consecutive seeds to run")
+	fs.Uint64Var(&o.seedBase, "seed-base", 1, "swarm mode: first seed")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker count (0 = GOMAXPROCS); results are identical at any value")
+	fs.BoolVar(&o.shrink, "shrink", false, "on failure, minimise the world and print a repro command")
+	fs.BoolVar(&o.fork, "fork", false, "fork-equivalence mode: snapshot each world mid-run, replay it, and require identical timelines")
+	specArg := fs.String("spec", "", "run this scenario spec (inline JSON or a file) instead of generating the world from the seed")
+	fs.BoolVar(&o.verbose, "v", false, "print one line per world")
+	fs.Var(&o.knobs, "p", "set a simtest-only knob: jammer=BOOL or breakWidening=FACTOR (repeatable)")
 	if err := fs.Parse(argv); err != nil {
-		return 2
+		return o, err
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "simtest: unexpected arguments: %v\n", fs.Args())
+		err := fmt.Errorf("simtest: unexpected arguments: %v", fs.Args())
+		fmt.Fprintln(stderr, err)
+		return o, err
+	}
+	var probe simtest.Params
+	for _, kv := range o.knobs {
+		if err := setKnob(&probe, kv); err != nil {
+			fmt.Fprintln(stderr, err)
+			return o, err
+		}
+	}
+	if *specArg != "" {
+		s, err := loadSpec(*specArg)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return o, err
+		}
+		o.spec = &s
+	}
+	return o, nil
+}
+
+// loadSpec decodes and validates -spec: inline JSON when it starts with
+// "{", otherwise the name of a spec file.
+func loadSpec(arg string) (scenario.Spec, error) {
+	raw := []byte(arg)
+	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
+		var err error
+		if raw, err = os.ReadFile(arg); err != nil {
+			return scenario.Spec{}, fmt.Errorf("simtest: -spec: %w", err)
+		}
+	}
+	s, err := scenario.DecodeSpec(raw)
+	if err != nil {
+		return s, err
+	}
+	return s, scenario.Validate(s, 1, scenario.DefaultLimits)
+}
+
+// world is seed's world under the command line.
+func (o options) world(seed uint64) simtest.Params {
+	p := simtest.Generate(seed)
+	o.apply(&p)
+	return p
+}
+
+// apply replaces a generated world with the -spec, if any, and sets the
+// -p knobs.
+func (o options) apply(p *simtest.Params) {
+	if o.spec != nil {
+		*p = simtest.Params{Spec: *o.spec}
+	}
+	for _, kv := range o.knobs {
+		_ = setKnob(p, kv) // checked by parse
+	}
+}
+
+// setKnob applies one -p key=value override.
+func setKnob(p *simtest.Params, kv string) error {
+	key, value, ok := strings.Cut(kv, "=")
+	if !ok {
+		return fmt.Errorf("simtest: -p wants key=value, got %q", kv)
+	}
+	var err error
+	switch key {
+	case "jammer":
+		p.Jammer, err = strconv.ParseBool(value)
+	case "breakWidening":
+		p.BreakWidening, err = strconv.ParseFloat(value, 64)
+	default:
+		return fmt.Errorf("simtest: unknown knob %q (known: breakWidening, jammer; set the world with -spec)", key)
+	}
+	if err != nil {
+		return fmt.Errorf("simtest: bad value %q for %s: %v", value, key, err)
+	}
+	return nil
+}
+
+func run(argv []string, stdout, stderr io.Writer) int {
+	o, err := parse(argv, stderr)
+	if err != nil {
 		return 2
 	}
-
-	mutate := func(p *simtest.Params) error {
-		if *base {
-			*p = simtest.DefaultParams()
-		}
-		for _, kv := range overs {
-			key, value, ok := strings.Cut(kv, "=")
-			if !ok {
-				return fmt.Errorf("simtest: -p wants key=value, got %q", kv)
-			}
-			if err := p.Set(key, value); err != nil {
-				return err
-			}
-		}
-		return nil
+	if o.seed >= 0 {
+		return runOne(o, uint64(o.seed), stdout, stderr)
 	}
-
-	if *seed >= 0 {
-		return runOne(uint64(*seed), mutate, *shrink, *fork, stdout, stderr)
-	}
-	return runSwarm(*seedBase, *worlds, *parallel, mutate, *shrink, *fork, *verbose, stdout, stderr)
+	return runSwarm(o, stdout, stderr)
 }
 
 // runOne reruns a single world (optionally shrinking a failure).
-func runOne(seed uint64, mutate func(*simtest.Params) error, shrink, fork bool, stdout, stderr io.Writer) int {
-	p := simtest.Generate(seed)
-	if err := mutate(&p); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+func runOne(o options, seed uint64, stdout, stderr io.Writer) int {
+	p := o.world(seed)
 	runWorld, shrinkWorld := simtest.RunWorld, simtest.Shrink
-	if fork {
+	if o.fork {
 		runWorld, shrinkWorld = simtest.RunWorldFork, simtest.ShrinkFork
 	}
 	res, err := runWorld(seed, p)
@@ -95,7 +170,7 @@ func runOne(seed uint64, mutate func(*simtest.Params) error, shrink, fork bool, 
 	}
 	printWorld(stdout, res)
 	if !res.Failed() {
-		if fork {
+		if o.fork {
 			fmt.Fprintf(stdout, "seed %d: all invariants hold, fork replay identical\n", seed)
 		} else {
 			fmt.Fprintf(stdout, "seed %d: all invariants hold\n", seed)
@@ -108,56 +183,46 @@ func runOne(seed uint64, mutate func(*simtest.Params) error, shrink, fork bool, 
 	if res.Truncated > 0 {
 		fmt.Fprintf(stdout, "  ... and %d more\n", res.Truncated)
 	}
-	if shrink {
+	if o.shrink {
 		s, err := shrinkWorld(seed, p)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "shrunk in %d runs to %d parameter(s): %v\nrepro: %s\n",
-			s.Runs, len(s.Minimal.Diff()), s.Minimal, s.ReproCommand())
+		fmt.Fprintf(stdout, "shrunk in %d runs to %v\nrepro: %s\n", s.Runs, s.Minimal, s.ReproCommand())
 	}
 	return 1
 }
 
 // runSwarm runs the randomized swarm and reports failures.
-func runSwarm(seedBase uint64, worlds, parallel int, mutate func(*simtest.Params) error, shrink, fork, verbose bool, stdout, stderr io.Writer) int {
-	var mutateErr error
+func runSwarm(o options, stdout, stderr io.Writer) int {
 	sum, err := simtest.Swarm(simtest.SwarmConfig{
-		SeedBase: seedBase,
-		Worlds:   worlds,
-		Parallel: parallel,
-		Fork:     fork,
-		Mutate: func(p *simtest.Params) {
-			if err := mutate(p); err != nil && mutateErr == nil {
-				mutateErr = err
-			}
-		},
+		SeedBase: o.seedBase,
+		Worlds:   o.worlds,
+		Parallel: o.parallel,
+		Fork:     o.fork,
+		Mutate:   o.apply,
 		OnResult: func(r simtest.Result) {
-			if verbose {
+			if o.verbose {
 				printWorld(stdout, r)
 			}
 		},
 	})
-	if mutateErr != nil {
-		fmt.Fprintln(stderr, mutateErr)
-		return 2
-	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	fmt.Fprintf(stdout, "swarm: %d worlds over seeds [%d, %d), %d connected, scenarios %v\n",
-		sum.Worlds, seedBase, seedBase+uint64(worlds), sum.Connected, scenarioLine(sum.ByScenario))
+	fmt.Fprintf(stdout, "swarm: %d worlds over seeds [%d, %d), %d connected, goals %v\n",
+		sum.Worlds, o.seedBase, o.seedBase+uint64(o.worlds), sum.Connected, goalLine(sum.ByGoal))
 	for _, e := range sum.Errors {
 		fmt.Fprintf(stdout, "ERROR %v\n", e)
 	}
 	for _, f := range sum.Failures {
 		fmt.Fprintf(stdout, "FAIL seed %d (%v): %d violation(s), first: %v\n",
 			f.Seed, f.Params, len(f.Violations)+f.Truncated, f.Violations[0])
-		if shrink {
+		if o.shrink {
 			shrinkWorld := simtest.Shrink
-			if fork {
+			if o.fork {
 				shrinkWorld = simtest.ShrinkFork
 			}
 			s, err := shrinkWorld(f.Seed, f.Params)
@@ -167,11 +232,7 @@ func runSwarm(seedBase uint64, worlds, parallel int, mutate func(*simtest.Params
 			}
 			fmt.Fprintf(stdout, "  shrunk in %d runs: %s\n", s.Runs, s.ReproCommand())
 		} else {
-			repro := fmt.Sprintf("go run ./cmd/simtest -seed %d -shrink", f.Seed)
-			if fork {
-				repro += " -fork"
-			}
-			fmt.Fprintf(stdout, "  repro: %s\n", repro)
+			fmt.Fprintf(stdout, "  repro: %s -shrink\n", simtest.Repro(f.Seed, f.Params, o.fork))
 		}
 	}
 	if sum.Failed() {
@@ -191,12 +252,12 @@ func printWorld(w io.Writer, r simtest.Result) {
 		r.Seed, status, r.Connected, r.Windows, r.InjectTx, r.Params)
 }
 
-// scenarioLine renders scenario counts deterministically.
-func scenarioLine(m map[string]int) string {
+// goalLine renders goal counts deterministically.
+func goalLine(m map[string]int) string {
 	var parts []string
-	for _, s := range simtest.Scenarios() {
-		if n := m[s]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s:%d", s, n))
+	for _, g := range simtest.Goals() {
+		if n := m[g]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", g, n))
 		}
 	}
 	return strings.Join(parts, " ")

@@ -80,7 +80,7 @@ func TestForkDeterminismMatrix(t *testing.T) {
 		}},
 		{"phone-grade", func() TrialConfig {
 			c := base
-			c.PhoneGrade = true
+			c.CentralPPM, c.CentralJitter = phoneGradePPM, phoneGradeJitter
 			return c
 		}},
 		{"wall", func() TrialConfig {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"injectable/internal/phy"
+	"injectable/internal/sim"
 )
 
 // Options tunes experiment volume (the paper runs 25 connections per
@@ -245,6 +246,14 @@ func Experiment3Distance(opts Options) (*Experiment, error) {
 	return exp, nil
 }
 
+// Experiment 3's central is a smartphone (§VII-C), which runs BLE from a
+// busy SoC: a looser sleep clock and more scheduling jitter than a
+// dedicated controller.
+const (
+	phoneGradePPM    = 50
+	phoneGradeJitter = 8 * sim.Microsecond
+)
+
 // exp3Points builds experiment 3's sweep: attacker distance, positions A–F.
 func exp3Points(opts Options) []SweepPoint {
 	positions := []struct {
@@ -260,12 +269,13 @@ func exp3Points(opts Options) []SweepPoint {
 			Label:    p.label,
 			SeedBase: opts.SeedBase + 20000 + uint64(i)*1000,
 			Cfg: TrialConfig{
-				Interval:    36,
-				Payload:     PayloadPowerOff,
-				BulbPos:     bulb,
-				CentralPos:  central,
-				AttackerPos: attacker,
-				PhoneGrade:  true,
+				Interval:      36,
+				Payload:       PayloadPowerOff,
+				BulbPos:       bulb,
+				CentralPos:    central,
+				AttackerPos:   attacker,
+				CentralPPM:    phoneGradePPM,
+				CentralJitter: phoneGradeJitter,
 			},
 		})
 	}
@@ -309,13 +319,14 @@ func exp3WallPoints(opts Options) []SweepPoint {
 			Label:    fmt.Sprintf("%gm+wall", d),
 			SeedBase: opts.SeedBase + 30000 + uint64(i)*1000,
 			Cfg: TrialConfig{
-				Interval:    36,
-				Payload:     PayloadPowerOff,
-				BulbPos:     bulb,
-				CentralPos:  central,
-				AttackerPos: attacker,
-				Walls:       []phy.Wall{wall},
-				PhoneGrade:  true,
+				Interval:      36,
+				Payload:       PayloadPowerOff,
+				BulbPos:       bulb,
+				CentralPos:    central,
+				AttackerPos:   attacker,
+				Walls:         []phy.Wall{wall},
+				CentralPPM:    phoneGradePPM,
+				CentralJitter: phoneGradeJitter,
 			},
 		})
 	}

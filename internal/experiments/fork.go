@@ -5,6 +5,7 @@ import (
 
 	"injectable/internal/host"
 	"injectable/internal/obs"
+	"injectable/internal/phy"
 	"injectable/internal/sim"
 )
 
@@ -47,6 +48,10 @@ type WarmTrial struct {
 func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 	cfg = cfg.withDefaults()
 	cfg.Seed = warmSeed
+	// The world's path-loss model holds cfg.Walls, and every Fork writes
+	// the captured walls back: give each warm world its own copy, or
+	// workers forking the same point race on one backing array.
+	cfg.Walls = append([]phy.Wall(nil), cfg.Walls...)
 	hub := obs.NewHub()
 	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {

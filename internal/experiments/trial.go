@@ -108,9 +108,6 @@ type TrialConfig struct {
 	BulbPos, CentralPos, AttackerPos phy.Position
 	// Walls adds obstacles (exp. 3, wall variant).
 	Walls []phy.Wall
-	// PhoneGrade gives the central a phone-grade sloppy clock instead of
-	// a dedicated controller (the paper's exp. 3 uses a smartphone).
-	PhoneGrade bool
 	// Capture overrides the collision model (ablation).
 	Capture medium.CaptureModel
 	// Injector tunes the attack (ablation).
@@ -159,7 +156,6 @@ type TrialConfig struct {
 	ActivityMS int
 	// TargetPPM/TargetJitter and CentralPPM/CentralJitter override the
 	// victim's and central's sleep-clock model (0 = the stack default).
-	// CentralPPM/CentralJitter take precedence over PhoneGrade.
 	TargetPPM     float64
 	TargetJitter  sim.Duration
 	CentralPPM    float64
@@ -336,18 +332,9 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 	if centralName == "" {
 		centralName = "central"
 	}
-	centralCfg := host.DeviceConfig{Name: centralName, Position: cfg.CentralPos}
-	if cfg.PhoneGrade {
-		// Phones run BLE from a busy SoC: looser sleep clock and more
-		// scheduling jitter than a dedicated controller.
-		centralCfg.ClockPPM = 50
-		centralCfg.ClockJitter = 8 * sim.Microsecond
-	}
-	if cfg.CentralPPM != 0 {
-		centralCfg.ClockPPM = cfg.CentralPPM
-	}
-	if cfg.CentralJitter != 0 {
-		centralCfg.ClockJitter = cfg.CentralJitter
+	centralCfg := host.DeviceConfig{
+		Name: centralName, Position: cfg.CentralPos,
+		ClockPPM: cfg.CentralPPM, ClockJitter: cfg.CentralJitter,
 	}
 	var chMap ble.ChannelMap
 	for ch := 0; ch < cfg.UnusedChans; ch++ {
@@ -423,14 +410,21 @@ func (tw *trialWorld) connect(ctx context.Context) error {
 	return runFor(tw.w, 3*sim.Second, ctx)
 }
 
-// syncErr reports why the attack cannot start yet: the link never formed,
-// or the sniffer missed the handshake.
+// The reasons syncErr gives for an attack that cannot start yet.
+var (
+	ErrConnectionFailed = errors.New("experiments: connection failed")
+	ErrSnifferNotSynced = errors.New("experiments: sniffer failed to sync")
+)
+
+// syncErr reports why the attack cannot start yet: the link never formed
+// (ErrConnectionFailed), or the sniffer missed the handshake
+// (ErrSnifferNotSynced).
 func (tw *trialWorld) syncErr() error {
 	if !tw.phone.Central.Connected() {
-		return errors.New("experiments: connection failed")
+		return ErrConnectionFailed
 	}
 	if !tw.atk.Sniffer.Following() {
-		return errors.New("experiments: sniffer failed to sync")
+		return ErrSnifferNotSynced
 	}
 	return nil
 }
@@ -557,11 +551,23 @@ var goalNouns = map[string]string{
 	GoalHijackMaster: "master hijack", GoalMITM: "mitm", GoalUpdate: "update injection",
 }
 
-// attack performs one attack run against the warmed world, dispatching on
-// the configured goal. The historical single-frame injection is the ""
-// (inject) goal: inject, then check the heuristic verdict against
-// device-model ground truth.
+// attack performs one attack run against the warmed world: launch, the
+// simulation budget, then outcome.
 func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
+	if err := tw.launch(cfg); err != nil {
+		return TrialResult{}, err
+	}
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+		return TrialResult{}, err
+	}
+	return tw.outcome(cfg)
+}
+
+// launch starts one attack run for the configured goal, now or after
+// cfg.GoalDelay. The historical single-frame injection is the ""
+// (inject) goal: arm the device-model ground truth and inject. The none
+// goal launches nothing.
+func (tw *trialWorld) launch(cfg TrialConfig) error {
 	tw.run = attackRun{}
 	var frame pdu.DataPDU
 	switch cfg.Goal {
@@ -569,24 +575,24 @@ func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 		tw.armEffect(cfg)
 		var err error
 		if frame, err = tw.frame(cfg); err != nil {
-			return TrialResult{}, err
+			return err
 		}
 	case GoalNone:
-		if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-			return TrialResult{}, err
-		}
+		return nil
+	case GoalHijackSlave, GoalHijackMaster, GoalMITM, GoalUpdate:
+	default:
+		return fmt.Errorf("experiments: unknown attacker goal %q", cfg.Goal)
+	}
+	return tw.schedule(cfg, frame)
+}
+
+// outcome judges the run launch started, once the world has run its
+// budget: an error if the goal never settled.
+func (tw *trialWorld) outcome(cfg TrialConfig) (TrialResult, error) {
+	if cfg.Goal == GoalNone {
 		// Baseline world: nothing injected, so the heuristic trivially
 		// agrees with the (absent) effect.
 		return tw.finish(TrialResult{HeuristicAgrees: true}), nil
-	case GoalHijackSlave, GoalHijackMaster, GoalMITM, GoalUpdate:
-	default:
-		return TrialResult{}, fmt.Errorf("experiments: unknown attacker goal %q", cfg.Goal)
-	}
-	if err := tw.launch(cfg, frame); err != nil {
-		return TrialResult{}, err
-	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
-		return TrialResult{}, err
 	}
 	if tw.run.launchErr != nil {
 		return TrialResult{}, tw.run.launchErr
@@ -597,9 +603,9 @@ func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 	return tw.finish(tw.verdict(cfg)), nil
 }
 
-// launch fires the goal now, or schedules it cfg.GoalDelay into the run
-// (a deferred launch's error lands in tw.run.launchErr).
-func (tw *trialWorld) launch(cfg TrialConfig, frame pdu.DataPDU) error {
+// schedule fires the goal now, or cfg.GoalDelay into the run (a deferred
+// launch's error lands in tw.run.launchErr).
+func (tw *trialWorld) schedule(cfg TrialConfig, frame pdu.DataPDU) error {
 	if cfg.GoalDelay <= 0 {
 		return tw.fire(cfg, frame)
 	}
@@ -722,6 +728,57 @@ func RunTrial(cfg TrialConfig) (TrialResult, error) {
 	}
 	return tw.attack(cfg)
 }
+
+// World is a built trial world, handed to harnesses that drive and
+// observe it step by step instead of through RunTrial (the invariant
+// swarm in internal/simtest taps every layer as the world runs).
+type World struct {
+	tw  *trialWorld
+	cfg TrialConfig
+}
+
+// BuildWorld builds cfg's world with inst's tracer, hub and pcap capture,
+// exactly as a fresh trial does, without running any virtual time.
+func BuildWorld(cfg TrialConfig, inst Instrumentation) (*World, error) {
+	cfg = cfg.withDefaults()
+	tw, err := buildTrialWorld(cfg, inst)
+	if err != nil {
+		return nil, err
+	}
+	return &World{tw: tw, cfg: cfg}, nil
+}
+
+// Host is the simulated radio environment.
+func (w *World) Host() *host.World { return w.tw.w }
+
+// Victim is the attacked peripheral.
+func (w *World) Victim() *host.Peripheral { return w.tw.peripheral }
+
+// Attacker is the attacker's tooling.
+func (w *World) Attacker() *injectable.Attacker { return w.tw.atk }
+
+// Monitor is the IDS, or nil when the configuration has none.
+func (w *World) Monitor() *ids.Monitor { return w.tw.monitor }
+
+// Connect brings the connection up on the handshake fast path (3 s of
+// virtual time, no retries) and reports ErrConnectionFailed or
+// ErrSnifferNotSynced if the attack cannot start.
+func (w *World) Connect() error {
+	if err := w.tw.connect(w.cfg.Ctx); err != nil {
+		return err
+	}
+	return w.tw.syncErr()
+}
+
+// Budget is the virtual time the attack run is judged after.
+func (w *World) Budget() sim.Duration { return w.cfg.SimBudget }
+
+// Launch starts the configured goal's attack run.
+func (w *World) Launch() error { return w.tw.launch(w.cfg) }
+
+// Outcome judges the launched run after the caller has run the world for
+// its Budget; it errors if the goal never settled.
+func (w *World) Outcome() (TrialResult, error) { return w.tw.outcome(w.cfg) }
 
 // runFor advances the world by d of virtual time. With a nil ctx it is
 // exactly w.RunFor(d); otherwise the span is walked in short slices with

@@ -2,10 +2,11 @@
 // because internal/simtest imports internal/ids (alert-kind accounting) and
 // the reverse import would cycle.
 //
-// EXPERIMENTS.md (§VIII IDS quality) claims 100 % detection with 0 % false
-// positives; these tests hold the monitor to exactly those bounds over
-// generated benign and attacked traffic rather than the experiments
-// package's two fixed topologies.
+// These tests hold the monitor to 100 % detection and 0 % false positives
+// over generated benign and attacked traffic rather than the experiments
+// package's two fixed topologies. The 0 % holds inside these seed windows
+// only: EXPERIMENTS.md (§VIII IDS quality) reports the ≈0.5 % false
+// positive rate measured over a wider window.
 package ids_test
 
 import (
@@ -23,14 +24,14 @@ func validationRuns(t *testing.T) int {
 }
 
 // TestZeroFalsePositivesOnBenignWorlds: randomized benign worlds (varying
-// intervals, clock drift, distances, bystander advertisers — but no
-// attacker) must never raise an injection-class alert.
+// intervals, clock drift, distances, walls, bystander advertisers — but no
+// attack) must never raise an injection-class alert.
 func TestZeroFalsePositivesOnBenignWorlds(t *testing.T) {
 	runs, connected := validationRuns(t), 0
 	for seed := uint64(7000); seed < 7000+uint64(runs); seed++ {
 		p := simtest.Generate(seed)
-		p.Scenario = "none"
-		p.IDS = true
+		p.Spec.Attacker.Goal = "none"
+		p.Spec.Defense.IDS = true
 		p.Jammer = false // jamming legitimately alerts; FPR is about injection-class alerts
 		r, err := simtest.RunWorld(seed, p)
 		if err != nil {
@@ -58,8 +59,8 @@ func TestFullDetectionOnInjectedWorlds(t *testing.T) {
 	runs, successes := validationRuns(t), 0
 	for seed := uint64(8000); seed < 8000+uint64(runs); seed++ {
 		p := simtest.Generate(seed)
-		p.Scenario = "inject"
-		p.IDS = true
+		p.Spec.Attacker.Goal = "inject"
+		p.Spec.Defense.IDS = true
 		r, err := simtest.RunWorld(seed, p)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -73,6 +73,26 @@ func Execute(s Spec, opts experiments.Options) (*experiments.Experiment, error) 
 	}, nil
 }
 
+// BuildWorld validates a sweepless spec against DefaultLimits and builds
+// its world at seed through experiments.BuildWorld, with inst's tracer,
+// hub and pcap capture, before any virtual time passes. It lowers the
+// spec exactly as Compile does, so the world is the one a trial of the
+// spec with this seed runs.
+func BuildWorld(s Spec, seed uint64, inst experiments.Instrumentation) (*experiments.World, error) {
+	if len(s.Sweep) > 0 {
+		return nil, &ValidationError{Fields: []FieldError{{Path: "sweep", Msg: "a single world takes no sweep axes"}}}
+	}
+	if err := Validate(s, 1, DefaultLimits); err != nil {
+		return nil, err
+	}
+	cfg, err := trialConfig(s)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed = seed
+	return experiments.BuildWorld(cfg, inst)
+}
+
 // points expands the spec into labelled, absolutely-seeded sweep points
 // and applies the options' point range.
 func points(s Spec, opts experiments.Options) (string, []experiments.SweepPoint, error) {

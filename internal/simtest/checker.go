@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"fmt"
-	"strings"
 
 	"injectable/internal/ble"
 	"injectable/internal/link"
@@ -121,18 +120,6 @@ func (ck *Checker) CheckAttemptOutcome(outcome string) {
 	if !validOutcomes[outcome] {
 		ck.violate("ledger-outcome", "injector attempt outcome %q outside the closed set", outcome)
 	}
-}
-
-// Summary renders all violations, one per line.
-func (ck *Checker) Summary() string {
-	var b strings.Builder
-	for _, v := range ck.violations {
-		fmt.Fprintf(&b, "%v\n", v)
-	}
-	if ck.truncated > 0 {
-		fmt.Fprintf(&b, "... and %d more\n", ck.truncated)
-	}
-	return b.String()
 }
 
 // Trace implements sim.Tracer: checks time monotonicity and counts

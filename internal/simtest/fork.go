@@ -46,22 +46,21 @@ func ForkCheck(seed uint64, p Params) (ForkReport, error) {
 	if err != nil {
 		return ForkReport{}, err
 	}
-	lw.start(p)
-	if err := lw.attack(p); err != nil {
+	if err := lw.start(); err != nil {
 		return ForkReport{}, err
 	}
 
-	total := sim.Duration(p.RunSeconds) * sim.Second
-	pre := sim.Duration(sim.NewRNG(seed).Child("simtest-fork").Intn(p.RunSeconds*1000)) * sim.Millisecond
-	lw.w.RunFor(pre)
-	snap := lw.w.Snapshot()
-	rep := ForkReport{Seed: seed, Params: p, SnapAt: lw.w.Now()}
+	w, total := lw.wd.Host(), lw.wd.Budget()
+	pre := sim.Duration(sim.NewRNG(seed).Child("simtest-fork").Intn(max(1, int(total/sim.Millisecond)))) * sim.Millisecond
+	w.RunFor(pre)
+	snap := w.Snapshot()
+	rep := ForkReport{Seed: seed, Params: p, SnapAt: w.Now()}
 
-	lw.w.RunFor(total - pre)
+	w.RunFor(total - pre)
 	rep.Continued = lw.collect().Fingerprint()
 
-	lw.w.Fork(snap)
-	lw.w.RunFor(total - pre)
+	w.Fork(snap)
+	w.RunFor(total - pre)
 	rep.Result = lw.collect()
 	rep.Forked = rep.Result.Fingerprint()
 	rep.Match = rep.Continued == rep.Forked

@@ -3,16 +3,16 @@ package simtest
 import (
 	"strings"
 	"testing"
+
+	"injectable/internal/experiments"
 )
 
-// TestForkCheckScenarios forks one world of every attacker scenario and
+// TestForkCheckScenarios forks one world of every attacker goal and
 // requires the replayed timeline to match the continued one exactly.
 func TestForkCheckScenarios(t *testing.T) {
-	for _, scenario := range Scenarios() {
-		t.Run(scenario, func(t *testing.T) {
-			p := DefaultParams()
-			p.Scenario = scenario
-			rep, err := ForkCheck(11, p)
+	for _, goal := range Goals() {
+		t.Run(goal, func(t *testing.T) {
+			rep, err := ForkCheck(11, shortWorld(goal))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,9 +32,7 @@ func TestForkCheckScenarios(t *testing.T) {
 // scheduler closures, so a fork replayed it with a stale channel cursor
 // and starved the slave).
 func TestForkCheckHijackMasterSeed35(t *testing.T) {
-	p := DefaultParams()
-	p.Scenario = "hijack-master"
-	rep, err := ForkCheck(35, p)
+	rep, err := ForkCheck(35, shortWorld(experiments.GoalHijackMaster))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func TestForkCheckHijackMasterSeed35(t *testing.T) {
 }
 
 // TestForkSwarmGeneratedWorlds runs generated worlds (jammers, bystanders,
-// IDS, every scenario) through the fork-equivalence swarm.
+// walls, IDS, every goal) through the fork-equivalence swarm.
 func TestForkSwarmGeneratedWorlds(t *testing.T) {
 	worlds := 40
 	if testing.Short() {
@@ -61,8 +59,8 @@ func TestForkSwarmGeneratedWorlds(t *testing.T) {
 		t.Errorf("world error: %v", e)
 	}
 	for _, f := range sum.Failures {
-		t.Errorf("seed %d (%v): first violation: %v\nrepro: go run ./cmd/simtest -seed %d -fork",
-			f.Seed, f.Params, f.Violations[0], f.Seed)
+		t.Errorf("seed %d (%v): first violation: %v\nrepro: %s",
+			f.Seed, f.Params, f.Violations[0], Repro(f.Seed, f.Params, true))
 	}
 	if sum.Connected < worlds/2 {
 		t.Fatalf("only %d/%d worlds connected", sum.Connected, worlds)

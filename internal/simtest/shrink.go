@@ -1,19 +1,22 @@
 package simtest
 
 import (
-	"fmt"
-	"strings"
+	"encoding/json"
+	"maps"
+	"slices"
+	"sort"
+
+	"injectable/internal/scenario"
 )
 
 // ShrinkResult is a minimised failing world.
 type ShrinkResult struct {
 	Seed uint64
 	// Initial is the original failing run, Final the run of the minimal
-	// parameter vector (still failing, by construction).
+	// world (still failing, by construction).
 	Initial Result
 	Final   Result
-	// Minimal is the smallest parameter vector found that still fails;
-	// Minimal.Diff() lists the fields that matter.
+	// Minimal is the smallest world found that still fails.
 	Minimal Params
 	// Runs counts world executions spent shrinking (including the first).
 	Runs int
@@ -23,22 +26,15 @@ type ShrinkResult struct {
 }
 
 // ReproCommand renders the one-line reproduction for the minimal world.
-func (s ShrinkResult) ReproCommand() string {
-	parts := []string{fmt.Sprintf("go run ./cmd/simtest -seed %d -base", s.Seed)}
-	if s.Fork {
-		parts = append(parts, "-fork")
-	}
-	for _, d := range s.Minimal.Diff() {
-		parts = append(parts, "-p "+d)
-	}
-	return strings.Join(parts, " ")
-}
+func (s ShrinkResult) ReproCommand() string { return Repro(s.Seed, s.Minimal, s.Fork) }
 
-// Shrink greedily minimises a failing world: each non-default parameter is
-// reset to its default and the world rerun; resets that keep the failure
-// stick. The pass repeats until a fixed point (resetting one field can
-// unlock resetting another). The result is 1-minimal: putting back any
-// single remaining field makes the failure disappear.
+// Shrink greedily minimises a failing world. It leans on the DSL's rule
+// that every absent field means its documented default: each step deletes
+// one field of the canonical spec (a whole sub-object at once, or one
+// leaf), drops one device or wall, or clears one simtest knob, and keeps
+// the step if the world still fails. Steps repeat until none keeps the
+// failure, so the result is 1-minimal: no single further deletion still
+// fails. Steps that make the spec invalid are skipped.
 //
 // If the initial world does not fail, the result's Final is that passing
 // run and Minimal equals the input — callers check Final.Failed().
@@ -63,30 +59,86 @@ func shrinkWith(run func(uint64, Params) (Result, error), seed uint64, p Params,
 	if !initial.Failed() {
 		return out, nil
 	}
-
-	def := DefaultParams()
 	cur, curRes := p, initial
 	for changed := true; changed; {
 		changed = false
-		for _, f := range fields() {
-			if f.equal(&cur, &def) {
-				continue
-			}
-			cand := cur
-			if err := f.set(&cand, f.get(&def)); err != nil {
-				continue
-			}
+		cands, err := simpler(cur)
+		if err != nil {
+			return ShrinkResult{}, err
+		}
+		for _, cand := range cands {
 			r, err := run(seed, cand)
 			out.Runs++
-			if err != nil {
-				continue // reset produced an unrealisable vector; keep the field
+			if err != nil || !r.Failed() {
+				continue
 			}
-			if r.Failed() {
-				cur, curRes = cand, r
-				changed = true
-			}
+			cur, curRes, changed = cand, r, true
+			break // the candidates of the smaller world differ
 		}
 	}
 	out.Minimal, out.Final = cur, curRes
 	return out, nil
+}
+
+// simpler lists p's one-step simplifications: the spec with one field of
+// its canonical JSON deleted or one array element dropped, coarsest first
+// within each field, then each set knob cleared.
+func simpler(p Params) ([]Params, error) {
+	var tree any
+	if err := json.Unmarshal([]byte(p.canonical()), &tree); err != nil {
+		return nil, err
+	}
+	var out []Params
+	for _, t := range deletions(tree) {
+		raw, _ := json.Marshal(t) // a decoded tree always re-encodes
+		if s, err := scenario.DecodeSpec(raw); err == nil {
+			out = append(out, Params{Spec: s, Jammer: p.Jammer, BreakWidening: p.BreakWidening})
+		}
+	}
+	if p.Jammer {
+		q := p
+		q.Jammer = false
+		out = append(out, q)
+	}
+	if p.BreakWidening != 0 {
+		q := p
+		q.BreakWidening = 0
+		out = append(out, q)
+	}
+	return out, nil
+}
+
+// deletions returns every tree one deletion smaller than v: one object key
+// or one array element removed, at any depth. Subtrees are shared, never
+// mutated.
+func deletions(v any) []any {
+	var out []any
+	switch v := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			c := maps.Clone(v)
+			delete(c, k)
+			out = append(out, c)
+			for _, sub := range deletions(v[k]) {
+				c := maps.Clone(v)
+				c[k] = sub
+				out = append(out, c)
+			}
+		}
+	case []any:
+		for i := range v {
+			out = append(out, slices.Delete(slices.Clone(v), i, i+1))
+			for _, sub := range deletions(v[i]) {
+				c := slices.Clone(v)
+				c[i] = sub
+				out = append(out, c)
+			}
+		}
+	}
+	return out
 }

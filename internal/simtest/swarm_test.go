@@ -1,8 +1,16 @@
 package simtest
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"injectable/internal/experiments"
+	"injectable/internal/scenario"
 )
 
 // swarmSeedBase anchors the CI swarm; the full run covers
@@ -18,10 +26,19 @@ func swarmWorlds(t *testing.T) int {
 }
 
 // TestSwarmInvariantsHold is the tentpole: every randomized world must pass
-// every cross-layer invariant.
+// every cross-layer invariant, and the full swarm must reach the DSL's
+// world space — every goal, crowded cells and walls.
 func TestSwarmInvariantsHold(t *testing.T) {
 	worlds := swarmWorlds(t)
-	sum, err := Swarm(SwarmConfig{SeedBase: swarmSeedBase, Worlds: worlds})
+	var crowded, walled int
+	sum, err := Swarm(SwarmConfig{SeedBase: swarmSeedBase, Worlds: worlds, OnResult: func(r Result) {
+		if len(r.Params.Spec.Devices) >= 4 { // victim, phone and ≥2 bystanders
+			crowded++
+		}
+		if len(r.Params.Spec.Walls) > 0 {
+			walled++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,17 +46,28 @@ func TestSwarmInvariantsHold(t *testing.T) {
 		t.Errorf("world error: %v", e)
 	}
 	for _, f := range sum.Failures {
-		t.Errorf("seed %d (%v): %d violations, first: %v\nrepro: go run ./cmd/simtest -seed %d",
-			f.Seed, f.Params, len(f.Violations)+f.Truncated, f.Violations[0], f.Seed)
+		t.Errorf("seed %d (%v): %d violations, first: %v\nrepro: %s",
+			f.Seed, f.Params, len(f.Violations)+f.Truncated, f.Violations[0], Repro(f.Seed, f.Params, false))
 	}
 	// The swarm must actually exercise the stack, not vacuously pass.
 	if sum.Connected < worlds/2 {
 		t.Fatalf("only %d/%d worlds connected — generator ranges are off", sum.Connected, worlds)
 	}
-	if len(sum.ByScenario) < 3 {
-		t.Fatalf("scenario coverage too thin: %v", sum.ByScenario)
+	if len(sum.ByGoal) < 3 {
+		t.Fatalf("goal coverage too thin: %v", sum.ByGoal)
 	}
-	t.Logf("%d worlds, %d connected, scenarios %v", worlds, sum.Connected, sum.ByScenario)
+	if !testing.Short() {
+		for _, g := range Goals() {
+			if sum.ByGoal[g] == 0 {
+				t.Errorf("goal %q never drawn: %v", g, sum.ByGoal)
+			}
+		}
+		if crowded == 0 || walled == 0 {
+			t.Errorf("%d worlds with ≥2 bystanders, %d with walls; want both > 0", crowded, walled)
+		}
+	}
+	t.Logf("%d worlds, %d connected, %d crowded, %d walled, goals %v",
+		worlds, sum.Connected, crowded, walled, sum.ByGoal)
 }
 
 // TestSwarmDeterministicAcrossWorkers reruns the same seed range at
@@ -77,10 +105,20 @@ func TestSwarmDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// shortWorld is the DSL's default world — the paper's triangle with a
+// lightbulb victim — under goal, run for 8 simulated seconds.
+func shortWorld(goal string) Params {
+	return Params{Spec: scenario.Spec{
+		Version:  scenario.Version,
+		Attacker: &scenario.Attacker{Goal: goal},
+		Run:      &scenario.Run{SimSeconds: 8},
+	}}
+}
+
 // TestBrokenWideningCaught is the engine's self-test: a slave whose
 // widening is silently tightened below eq. 4/5 must be flagged.
 func TestBrokenWideningCaught(t *testing.T) {
-	p := DefaultParams()
+	p := shortWorld(experiments.GoalNone)
 	p.BreakWidening = 0.5
 	r, err := RunWorld(7, p)
 	if err != nil {
@@ -101,14 +139,49 @@ func TestBrokenWideningCaught(t *testing.T) {
 	}
 }
 
+// settings lists p's non-default settings as "path=value": every leaf of
+// the canonical spec except its version, in the DSL's field-path syntax
+// ("conn.interval", "devices[1].pos.x"), then the set knobs.
+func settings(p Params) []string {
+	var tree map[string]any
+	if err := json.Unmarshal([]byte(p.canonical()), &tree); err != nil {
+		return []string{err.Error()}
+	}
+	delete(tree, "version")
+	var out []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			keys := make([]string, 0, len(v))
+			for k := range v {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				walk(path+"."+k, v[k])
+			}
+		case []any:
+			for i, x := range v {
+				walk(fmt.Sprintf("%s[%d]", path, i), x)
+			}
+		default:
+			raw, _ := json.Marshal(v)
+			out = append(out, strings.TrimPrefix(path, ".")+"="+string(raw))
+		}
+	}
+	walk("", tree)
+	return append(out, p.knobs()...)
+}
+
 // TestBrokenWideningShrinksToMinimalRepro plants the widening fault in a
 // messy generated world and requires the shrinker to isolate it to a ≤3
-// parameter repro with a runnable command line.
+// setting repro with a runnable command line.
 func TestBrokenWideningShrinksToMinimalRepro(t *testing.T) {
 	const seed = 99
 	p := Generate(seed) // a fully random world...
 	p.BreakWidening = 0.5
-	p.Scenario = "none" // ...kept cheap to rerun while shrinking
+	p.Spec.Attacker.Goal = experiments.GoalNone // ...kept cheap to rerun while shrinking
 
 	s, err := Shrink(seed, p)
 	if err != nil {
@@ -117,83 +190,83 @@ func TestBrokenWideningShrinksToMinimalRepro(t *testing.T) {
 	if !s.Final.Failed() {
 		t.Fatal("shrunk world no longer fails")
 	}
-	diff := s.Minimal.Diff()
-	if len(diff) > 3 {
-		t.Fatalf("minimal repro has %d parameters, want ≤3: %v", len(diff), diff)
+	settings := settings(s.Minimal)
+	if len(settings) > 3 {
+		t.Fatalf("minimal repro has %d settings, want ≤3: %v", len(settings), settings)
 	}
 	hasBreak := false
-	for _, d := range diff {
+	for _, d := range settings {
 		if strings.HasPrefix(d, "breakWidening=") {
 			hasBreak = true
 		}
 	}
 	if !hasBreak {
-		t.Fatalf("shrinker dropped the causative parameter: %v", diff)
+		t.Fatalf("shrinker dropped the causative setting: %v", settings)
 	}
 	repro := s.ReproCommand()
-	if !strings.Contains(repro, "-seed 99") || !strings.Contains(repro, "breakWidening") {
+	if !strings.Contains(repro, "-seed 99 -spec '{") || !strings.Contains(repro, "-p breakWidening=0.5") {
 		t.Fatalf("repro command incomplete: %s", repro)
 	}
 	t.Logf("shrunk in %d runs to: %s", s.Runs, repro)
 }
 
-// TestShrinkPassingWorldIsIdentity: shrinking a healthy world returns it
-// unchanged and reports the passing run.
+// TestShrinkPassingWorld: shrinking a healthy world returns it unchanged
+// and reports the passing run.
 func TestShrinkPassingWorld(t *testing.T) {
-	s, err := Shrink(3, DefaultParams())
+	p := shortWorld(experiments.GoalNone)
+	s, err := Shrink(3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Final.Failed() {
 		t.Fatalf("default world fails: %v", s.Final.Violations)
 	}
-	if s.Runs != 1 || len(s.Minimal.Diff()) != 0 {
-		t.Fatalf("passing world was mutated: runs=%d diff=%v", s.Runs, s.Minimal.Diff())
+	if s.Runs != 1 || !reflect.DeepEqual(s.Minimal, p) {
+		t.Fatalf("passing world was mutated: runs=%d world=%v", s.Runs, s.Minimal)
 	}
 }
 
-// TestGenerateDeterministic: the parameter vector is a pure function of
-// the seed.
+// TestGenerateDeterministic: the world is a pure function of the seed,
+// and a valid spec.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		a, b := Generate(seed), Generate(seed)
-		if a != b {
-			t.Fatalf("seed %d: %+v != %+v", seed, a, b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: %v != %v", seed, a, b)
 		}
-		if err := a.validate(); err != nil {
-			t.Fatalf("seed %d generated an invalid vector: %v", seed, err)
+		if err := scenario.Validate(a.Spec, 1, scenario.DefaultLimits); err != nil {
+			t.Fatalf("seed %d generated an invalid spec: %v", seed, err)
 		}
 	}
-	if Generate(1) == Generate(2) {
+	if reflect.DeepEqual(Generate(1), Generate(2)) {
 		t.Fatal("distinct seeds generated identical worlds")
 	}
 }
 
-// TestParamsSetDiffRoundTrip: applying a Diff to defaults reconstructs the
-// original vector (the property the repro command depends on).
-func TestParamsSetDiffRoundTrip(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
-		orig := Generate(seed)
-		rebuilt := DefaultParams()
-		for _, d := range orig.Diff() {
-			key, value, ok := strings.Cut(d, "=")
-			if !ok {
-				t.Fatalf("malformed diff entry %q", d)
-			}
-			if err := rebuilt.Set(key, value); err != nil {
-				t.Fatal(err)
-			}
+// TestGeneratedSpecsRoundTrip: every generated spec is valid, and its
+// canonical encoding — what the repro command carries — decodes back to
+// the same bytes.
+func TestGeneratedSpecsRoundTrip(t *testing.T) {
+	for seed := uint64(0); seed < 500; seed++ {
+		p := Generate(seed)
+		if err := scenario.Validate(p.Spec, 1, scenario.DefaultLimits); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if rebuilt != orig {
-			t.Fatalf("seed %d: rebuilt %+v != original %+v", seed, rebuilt, orig)
+		enc, err := scenario.EncodeCanonical(p.Spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var p Params
-	if err := p.Set("nonsense", "1"); err == nil {
-		t.Fatal("unknown parameter accepted")
-	}
-	if err := p.Set("interval", "zebra"); err == nil {
-		t.Fatal("malformed value accepted")
+		dec, err := scenario.DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		again, err := scenario.EncodeCanonical(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("seed %d: canonical spec changed on round trip:\n%s\n%s", seed, enc, again)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 package simtest
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"injectable/internal/att"
-	"injectable/internal/ble"
-	"injectable/internal/devices"
-	"injectable/internal/gatt"
+	"injectable/internal/experiments"
 	"injectable/internal/host"
 	"injectable/internal/ids"
 	"injectable/internal/injectable"
@@ -16,6 +15,7 @@ import (
 	"injectable/internal/medium"
 	"injectable/internal/obs"
 	"injectable/internal/phy"
+	"injectable/internal/scenario"
 	"injectable/internal/sim"
 )
 
@@ -28,7 +28,7 @@ type Result struct {
 	// jammers or tight clocks may legitimately fail to connect).
 	Connected bool
 	// SnifferSynced: the attacker's sniffer was following the connection
-	// when the attack phase started (attack scenarios only).
+	// when the attack phase started.
 	SnifferSynced bool
 	// Windows counts slave receive windows the checker inspected.
 	Windows int
@@ -36,8 +36,9 @@ type Result struct {
 	// entries reconciled against them.
 	InjectTx int
 	Records  int
-	// AttackDone/AttackSuccess: the scenario's completion callback fired /
-	// reported success (invariants are checked regardless).
+	// AttackDone/AttackSuccess: the launched goal settled (the none goal
+	// trivially) / its verdict was success. Invariants are checked
+	// regardless.
 	AttackDone    bool
 	AttackSuccess bool
 	// IDSAlerts counts monitor alerts by kind (IDS worlds only).
@@ -80,142 +81,76 @@ func (r Result) Fingerprint() string {
 	return b.String()
 }
 
-// liveWorld is one built world with every piece of mutable run state in
-// struct fields. The snapshot engine reaches state through fields, slices
-// and maps — not through closure variables — so anything a callback
-// mutates (the result record the attack completion callbacks write, the
+// liveWorld is one built world with every piece of mutable run state
+// reachable from struct fields. The snapshot engine reaches state through
+// fields, slices and maps — not through closure variables — so anything a
+// callback mutates (the trial world's attack run, the checker, the
 // jammer's channel cursor) must hang off this struct, which is registered
 // as a snapshot root. That is what lets ForkCheck roll a half-run world
 // back and replay it.
 type liveWorld struct {
 	res Result
 
-	w        *host.World
-	ck       *Checker
-	hub      *obs.Hub
-	target   *host.Peripheral
-	bulb     *devices.Lightbulb
-	fob      *devices.Keyfob
-	watch    *devices.Smartwatch
-	phone    *devices.Smartphone
-	attacker *injectable.Attacker
-	monitor  *ids.Monitor
-	jam      *jammer
+	wd  *experiments.World
+	ck  *Checker
+	hub *obs.Hub
+	jam *jammer
 }
 
 // RunWorld builds and runs one world under the invariant engine. The error
-// return is construction-level only (invalid parameters); invariant
-// breaches and failed connections are reported in the Result.
+// return is construction-level only (an invalid spec or a launch the
+// attacker refused); invariant breaches and failed connections are
+// reported in the Result.
 func RunWorld(seed uint64, p Params) (Result, error) {
 	lw, err := buildWorld(seed, p)
 	if err != nil {
 		return Result{}, err
 	}
-	lw.start(p)
-	if err := lw.attack(p); err != nil {
+	if err := lw.start(); err != nil {
 		return lw.res, err
 	}
-	lw.w.RunFor(sim.Duration(p.RunSeconds) * sim.Second)
+	lw.wd.Host().RunFor(lw.wd.Budget())
 	return lw.collect(), nil
 }
 
-// buildWorld constructs the world, devices and observers for p without
-// running any simulated time.
+// buildWorld builds p's world through the DSL lowering and the trial-world
+// builder with the checker as its tracer, then taps the checker into the
+// medium, the victim's connection and the attacker's injector. No
+// simulated time runs.
 func buildWorld(seed uint64, p Params) (*liveWorld, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	lw := &liveWorld{res: Result{Seed: seed, Params: p}}
+	spec, d := p.Spec, scenario.Defense{}
+	if spec.Defense != nil {
+		d = *spec.Defense
+	}
+	scale := d.WideningScale
+	if p.BreakWidening > 0 {
+		// The fault: the world runs at the scaled widening while the
+		// checker is told the spec's value, which must surface as a
+		// widening-eq4 violation.
+		d.WideningScale = cmp.Or(d.WideningScale, 1) * p.BreakWidening
+		spec.Defense = &d
+	}
 
 	// The checker must exist before the world (it is the world's tracer),
 	// but needs the world's clock; close over the late-bound pointer.
-	var w *host.World
-	ck := NewChecker(func() sim.Time { return w.Sched.Now() }, p.WideningScale)
+	var wd *experiments.World
+	ck := NewChecker(func() sim.Time { return wd.Host().Now() }, scale)
 	hub := obs.NewHub()
-	w = host.NewWorld(host.WorldConfig{Seed: seed, Tracer: ck, Obs: hub})
+	wd, err := scenario.BuildWorld(spec, seed, experiments.Instrumentation{Tracer: ck, Obs: hub})
+	if err != nil {
+		return nil, err
+	}
+	lw.wd, lw.ck, lw.hub = wd, ck, hub
+
+	w := wd.Host()
 	w.Medium.AddObserver(ck)
 	w.Medium.SetDeliverObserver(ck.OnDeliver)
-	lw.w, lw.ck, lw.hub = w, ck, hub
-
-	// Victim peripheral at the origin. BreakWidening is the fault-injection
-	// backdoor: the device's widening scale is changed behind the checker's
-	// back, which must surface as a widening-eq4 violation.
-	deviceScale := p.WideningScale
-	if p.BreakWidening > 0 {
-		eff := deviceScale
-		if eff <= 0 {
-			eff = 1
-		}
-		deviceScale = eff * p.BreakWidening
-	}
-	targetDev := w.NewDevice(host.DeviceConfig{
-		Name:          p.Target,
-		Position:      phy.Position{},
-		ClockPPM:      p.TargetPPM,
-		ClockJitter:   usDuration(p.TargetJitterUS),
-		WideningScale: deviceScale,
-	})
-	switch p.Target {
-	case "lightbulb":
-		lw.bulb = devices.NewLightbulb(targetDev)
-		lw.target = lw.bulb.Peripheral
-	case "keyfob":
-		lw.fob = devices.NewKeyfob(targetDev)
-		lw.target = lw.fob.Peripheral
-	case "smartwatch":
-		lw.watch = devices.NewSmartwatch(targetDev)
-		lw.target = lw.watch.Peripheral
-	}
-	lw.target.OnConnect = func(conn *link.Conn) { ck.WatchConn(p.Target, conn) }
-
-	// Phone central opposite the attacker.
-	chMap := ble.AllChannels
-	for ch := 0; ch < p.UnusedChans; ch++ {
-		chMap = chMap.Without(uint8(ch))
-	}
-	activity := sim.Duration(-1)
-	if p.ActivityMS > 0 {
-		activity = sim.Duration(p.ActivityMS) * sim.Millisecond
-	}
-	lw.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name:        "phone",
-		Position:    phy.Position{X: p.PhoneDist},
-		ClockPPM:    p.PhonePPM,
-		ClockJitter: usDuration(p.PhoneJitterUS),
-	}), devices.SmartphoneConfig{
-		ConnParams: link.ConnParams{
-			Interval:   p.Interval,
-			Latency:    p.Latency,
-			Hop:        p.Hop,
-			CSA2:       p.CSA2,
-			ChannelMap: chMap,
-		},
-		ActivityInterval: activity,
-	})
-
-	if p.Scenario != "none" {
-		atk := w.NewDevice(host.DeviceConfig{
-			Name: "attacker", Position: phy.Position{X: -p.AttackerDist},
-			ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-		})
-		lw.attacker = injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{})
-		lw.attacker.Injector.OnAttempt = func(a injectable.Attempt) {
-			ck.CheckAttemptOutcome(string(a.Outcome))
-		}
-	}
-
-	if p.IDS {
-		lw.monitor = ids.New(ids.Config{})
-		w.Medium.AddObserver(lw.monitor)
-	}
-
-	if p.Bystander {
-		// An unrelated advertiser sharing the band: its traffic must never
-		// confuse the connection's invariants.
-		by := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{
-			Name: "bystander", Position: phy.Position{X: 1.5, Y: 2.5},
-		}))
-		by.Peripheral.StartAdvertising()
+	victim := wd.Victim()
+	name := victim.Device.Stack.Name
+	victim.OnConnect = func(conn *link.Conn) { ck.WatchConn(name, conn) }
+	wd.Attacker().Injector.OnAttempt = func(a injectable.Attempt) {
+		ck.CheckAttemptOutcome(string(a.Outcome))
 	}
 	if p.Jammer {
 		lw.jam = startJammer(w)
@@ -224,105 +159,46 @@ func buildWorld(seed uint64, p Params) (*liveWorld, error) {
 	return lw, nil
 }
 
-// start brings the connection up: 3 s of simulated time covering
-// advertising, CONNECT_REQ and sniffer synchronisation.
-func (lw *liveWorld) start(p Params) {
-	if lw.attacker != nil {
-		lw.attacker.Sniffer.Start()
+// start brings the connection up on the handshake fast path (3 s of
+// simulated time covering advertising, CONNECT_REQ and sniffer
+// synchronisation) and, if the link formed and the sniffer follows it,
+// launches the attacker goal.
+func (lw *liveWorld) start() error {
+	err := lw.wd.Connect()
+	lw.res.Connected = !errors.Is(err, experiments.ErrConnectionFailed)
+	lw.res.SnifferSynced = lw.wd.Attacker().Sniffer.Following()
+	if err != nil {
+		return nil // a failed handshake is an outcome, not a construction error
 	}
-	lw.target.StartAdvertising()
-	lw.phone.Connect(lw.target.Device.Address())
-	lw.w.RunFor(3 * sim.Second)
-	lw.res.Connected = lw.phone.Central.Connected()
-	if lw.attacker != nil {
-		lw.res.SnifferSynced = lw.attacker.Sniffer.Following()
-	}
-}
-
-// attack launches the scenario's attacker activity (if the connection and
-// sniffer are up). Completion callbacks write into lw.res — snapshot-visible
-// fields, so a forked world re-reports completion on replay.
-func (lw *liveWorld) attack(p Params) error {
-	if !lw.res.Connected || lw.attacker == nil || !lw.res.SnifferSynced {
-		return nil
-	}
-	switch p.Scenario {
-	case "inject":
-		handle, value := featureWrite(p.Target, lw.bulb, lw.fob, lw.watch)
-		err := lw.attacker.InjectWrite(handle, value, func(r injectable.Report) {
-			lw.res.AttackDone = true
-			lw.res.AttackSuccess = r.Success
-		})
-		if err != nil {
-			return fmt.Errorf("simtest: inject: %w", err)
-		}
-	case "hijack-slave":
-		err := lw.attacker.HijackSlave(simtestServer(), func(h *injectable.SlaveHijack, e error) {
-			lw.res.AttackDone = true
-			lw.res.AttackSuccess = e == nil && h != nil
-		})
-		if err != nil {
-			return fmt.Errorf("simtest: hijack-slave: %w", err)
-		}
-	case "hijack-master":
-		err := lw.attacker.HijackMaster(injectable.UpdateParams{},
-			func(h *injectable.MasterHijack, e error) {
-				lw.res.AttackDone = true
-				lw.res.AttackSuccess = e == nil && h != nil
-			})
-		if err != nil {
-			return fmt.Errorf("simtest: hijack-master: %w", err)
-		}
+	if err := lw.wd.Launch(); err != nil {
+		return fmt.Errorf("simtest: launching %s: %w", lw.res.Params.Goal(), err)
 	}
 	return nil
 }
 
-// collect reconciles the ledger and freezes the result. Everything it
-// writes lives in snapshot-visible state (lw.res, the checker), so a fork
-// taken before collect replays through an identical collect.
+// collect judges the attack, reconciles the ledger and freezes the result.
+// Everything it reads lives in snapshot-visible state (the trial world,
+// the checker, the hub), so a fork taken before collect replays through an
+// identical collect.
 func (lw *liveWorld) collect() Result {
+	if lw.res.Connected && lw.res.SnifferSynced {
+		out, err := lw.wd.Outcome()
+		lw.res.AttackDone = err == nil
+		lw.res.AttackSuccess = out.Success
+	}
 	lw.ck.Finish(lw.hub.Ledger)
 	lw.res.Windows = lw.ck.Windows()
 	lw.res.InjectTx = lw.ck.InjectTxCount()
 	lw.res.Records = len(lw.hub.Ledger.Records())
-	if lw.monitor != nil {
+	if m := lw.wd.Monitor(); m != nil {
 		lw.res.IDSAlerts = make(map[ids.AlertKind]int)
-		for _, a := range lw.monitor.Alerts() {
+		for _, a := range m.Alerts() {
 			lw.res.IDSAlerts[a.Kind]++
 		}
 	}
 	lw.res.Violations = lw.ck.Violations()
 	lw.res.Truncated = lw.ck.Truncated()
 	return lw.res
-}
-
-// usDuration converts fractional microseconds to a sim.Duration.
-func usDuration(us float64) sim.Duration {
-	return sim.Duration(us * float64(sim.Microsecond))
-}
-
-// featureWrite picks the scenario-A write for the generated target.
-func featureWrite(name string, bulb *devices.Lightbulb, fob *devices.Keyfob, watch *devices.Smartwatch) (uint16, []byte) {
-	switch name {
-	case "lightbulb":
-		return bulb.ControlHandle(), devices.PowerCommand(true)
-	case "keyfob":
-		return fob.AlertHandle(), devices.RingCommand()
-	default:
-		return watch.SMSHandle(), []byte("simtest")
-	}
-}
-
-// simtestServer is the minimal GATT profile the slave hijack serves.
-func simtestServer() *gatt.Server {
-	srv := gatt.NewServer(func([]byte) {})
-	srv.AddService(&gatt.Service{
-		UUID: att.UUID16(0x1800),
-		Characteristics: []*gatt.Characteristic{{
-			UUID: att.UUID16(0x2A00), Properties: gatt.PropRead, Value: []byte("simtest"),
-		}},
-	})
-	return srv
 }
 
 // jammer emits periodic wideband noise bursts cycling across the data
