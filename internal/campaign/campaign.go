@@ -59,7 +59,7 @@ type WarmupFunc func(u Warmup) (any, error)
 // of the point's trial seeds ("warm" vs "trial"/i) so warmup randomness
 // never overlaps any trial's.
 func DeriveWarmSeed(seedBase uint64, point string) uint64 {
-	return sim.NewRNG(seedBase).Child(point).Child("warm").Seed()
+	return sim.ChildSeed(sim.ChildSeed(seedBase, point), "warm")
 }
 
 // Point is one configuration within a campaign: a label, a trial count and
@@ -172,11 +172,12 @@ type Trial struct {
 // the campaign's fan-out both race-free and order-independent.
 func (t Trial) RNG() *sim.RNG { return sim.NewRNG(t.Seed) }
 
-// DeriveSeed is the default trial-seed derivation: an FNV-mixed stream
-// keyed by (seedBase, point, index) via sim.RNG's child mechanism, so two
-// points (or two trials) never share a stream.
+// DeriveSeed is the default trial-seed derivation: the seed of the stream
+// NewRNG(seedBase).Child(point).ChildN("trial", index) — FNV-mixed and keyed
+// by (seedBase, point, index), so two points (or two trials) never share a
+// stream — computed without building any stream.
 func DeriveSeed(seedBase uint64, point string, index int) uint64 {
-	return sim.NewRNG(seedBase).Child(point).ChildN("trial", index).Seed()
+	return sim.ChildNSeed(sim.ChildSeed(seedBase, point), "trial", uint64(index))
 }
 
 // flatten expands the spec into the ordinal-ordered trial list.
@@ -184,8 +185,7 @@ func flatten(s *Spec) []Trial {
 	trials := make([]Trial, 0, s.TotalTrials())
 	ordinal := 0
 	for _, p := range s.Points {
-		// Only warming points need the seed, and deriving it seeds three
-		// generators, so points without a Warmup skip it.
+		// Only warming points need the seed.
 		warmSeed := p.WarmSeed
 		if warmSeed == 0 && p.Warmup != nil {
 			warmSeed = DeriveWarmSeed(s.SeedBase, p.Label)

@@ -338,3 +338,23 @@ func TestEmptyAndInvalidSpecs(t *testing.T) {
 		t.Fatal("nil Run accepted")
 	}
 }
+
+// TestDerivedSeedsPinned pins the default seed derivations on fixed
+// inputs: every recorded campaign's trial and warm-up seeds depend on them.
+func TestDerivedSeedsPinned(t *testing.T) {
+	pins := []struct {
+		name      string
+		got, want uint64
+	}{
+		{"DeriveSeed(42, hopInterval=75, 0)", DeriveSeed(42, "hopInterval=75", 0), 0xfc39e300cb74b63d},
+		{"DeriveSeed(42, hopInterval=75, 7)", DeriveSeed(42, "hopInterval=75", 7), 0x9f498de5aaa6d7da},
+		{"DeriveSeed(0, \"\", 0)", DeriveSeed(0, "", 0), 0x1027e17b7b0c920},
+		{"DeriveWarmSeed(42, hopInterval=75)", DeriveWarmSeed(42, "hopInterval=75"), 0x3312dd5ef28914b2},
+		{"DeriveWarmSeed(7, clean@0.25)", DeriveWarmSeed(7, "clean@0.25"), 0x6e8c63f094bd7a14},
+	}
+	for _, p := range pins {
+		if p.got != p.want {
+			t.Errorf("%s = %#x, want %#x", p.name, p.got, p.want)
+		}
+	}
+}

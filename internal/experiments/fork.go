@@ -24,7 +24,7 @@ import (
 // seeds base, base+1, … — a sibling stream that never collides with any
 // trial's seed (or rekey salt, which is the trial seed itself).
 func WarmTrialSeed(base uint64) uint64 {
-	return sim.NewRNG(base).Child("warm").Seed()
+	return sim.ChildSeed(base, "warm")
 }
 
 // WarmTrial is a warmed, reusable trial environment: a world advanced

@@ -89,3 +89,16 @@ func TestRunCounterfactual(t *testing.T) {
 		t.Fatal("observed effect not attributed to the injection")
 	}
 }
+
+// TestWarmTrialSeedPinned pins the warm-world seed derivation on fixed
+// bases: every forked campaign's warm worlds are built from it.
+func TestWarmTrialSeedPinned(t *testing.T) {
+	for _, p := range []struct{ base, want uint64 }{
+		{31000, 0x8f5abbaf3149dcd7},
+		{1000, 0x4dd73496a2303d11},
+	} {
+		if got := WarmTrialSeed(p.base); got != p.want {
+			t.Errorf("WarmTrialSeed(%d) = %#x, want %#x", p.base, got, p.want)
+		}
+	}
+}

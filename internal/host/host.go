@@ -33,6 +33,12 @@ type World struct {
 	// wrappers, attacker tooling — anything reachable only through
 	// callbacks, which the snapshot engine does not traverse).
 	roots []any
+
+	// streams lists every random stream reachable from the snapshot roots
+	// as the last capture walk found them, and streamsAt stamps the world
+	// state that walk saw; RekeyStreams walks again once they differ.
+	streams   []*sim.RNG
+	streamsAt worldStamp
 }
 
 // WorldConfig configures a World.

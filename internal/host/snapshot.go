@@ -27,13 +27,24 @@ func (w *World) AddSnapshotRoot(roots ...any) {
 // warm-up it amortises (one typed copy per reachable object) and does not
 // disturb the world: simulation can continue immediately.
 func (w *World) Snapshot() *Snapshot {
-	roots := make([]any, 0, 2+len(w.devices)+len(w.roots))
+	// The stream list is bookkeeping, not simulation state: keep it out of
+	// the capture so a restore never resurrects a list (or the streams
+	// only it still references) from an earlier walk.
+	w.streams = nil
+	c := sim.CaptureRoots(w.snapshotRoots()...)
+	w.noteStreams(c.RNGs())
+	return &Snapshot{w: w, cap: c}
+}
+
+// snapshotRoots lists the roots a capture walks: the world, every device
+// and every registered root.
+func (w *World) snapshotRoots() []any {
+	roots := make([]any, 0, 1+len(w.devices)+len(w.roots))
 	roots = append(roots, w)
 	for _, d := range w.devices {
 		roots = append(roots, d)
 	}
-	roots = append(roots, w.roots...)
-	return &Snapshot{w: w, cap: sim.CaptureRoots(roots...)}
+	return append(roots, w.roots...)
 }
 
 // Fork rolls this world back to the snapshot, beginning a new timeline
@@ -49,6 +60,26 @@ func (w *World) Fork(s *Snapshot) {
 		panic("host: forking a snapshot taken from a different world")
 	}
 	s.cap.Restore()
+	w.noteStreams(s.cap.RNGs())
+}
+
+// worldStamp identifies a world state for the stream list: the counters
+// move whenever an event is scheduled or run or a device or root is added,
+// which is how new streams become reachable. Fork rolls them back with the
+// rest of the world.
+type worldStamp struct {
+	scheduled, processed uint64
+	devices, roots       int
+}
+
+func (w *World) stamp() worldStamp {
+	return worldStamp{w.Sched.Scheduled(), w.Sched.Processed(), len(w.devices), len(w.roots)}
+}
+
+// noteStreams records the stream list a capture walk found for the world's
+// current state.
+func (w *World) noteStreams(rngs []*sim.RNG) {
+	w.streams, w.streamsAt = rngs, w.stamp()
 }
 
 // RekeyStreams deterministically reseeds every random stream reachable in
@@ -60,12 +91,17 @@ func (w *World) Fork(s *Snapshot) {
 // byte-identical to a fresh world warmed the same way and rekeyed with the
 // same salt. Call it immediately after Fork to give each forked trial
 // independent randomness.
+//
+// The streams are the ones the last Snapshot or Fork found, so rekeying a
+// fork costs one store per stream (each reseeds on its first draw). A
+// world that scheduled or ran an event, or gained a device or root, since
+// then may hold streams that list lacks: it takes a new capture walk
+// first, as a never-snapshotted world does.
 func (w *World) RekeyStreams(salt uint64) {
-	roots := make([]any, 0, 2+len(w.devices)+len(w.roots))
-	roots = append(roots, w)
-	for _, d := range w.devices {
-		roots = append(roots, d)
+	if w.streams == nil || w.streamsAt != w.stamp() {
+		w.Snapshot()
 	}
-	roots = append(roots, w.roots...)
-	sim.VisitRNGs(func(g *sim.RNG) { g.Rekey(salt) }, roots...)
+	for _, g := range w.streams {
+		g.Rekey(salt)
+	}
 }

@@ -105,3 +105,67 @@ func TestForkForeignSnapshotPanics(t *testing.T) {
 	}()
 	wb.Fork(snap)
 }
+
+// rekeyedSeed is the seed Rekey(salt) gives a stream seeded with seed.
+func rekeyedSeed(seed, salt uint64) uint64 { return sim.ChildNSeed(seed, "rekey", salt) }
+
+// TestRekeyReachesStreamsAddedAfterSnapshot checks that RekeyStreams never
+// rekeys a stale stream list: streams that became reachable after the last
+// Snapshot — through a new root, a new device or an event — are rekeyed
+// without a Fork in between, and a Fork brings back the snapshot's list.
+func TestRekeyReachesStreamsAddedAfterSnapshot(t *testing.T) {
+	w, _, _ := connectedWorld(t, 5)
+	w.RunFor(500 * sim.Millisecond)
+	holder := &struct{ g *sim.RNG }{}
+	w.AddSnapshotRoot(holder)
+	snap := w.Snapshot()
+
+	late := &struct{ g *sim.RNG }{sim.NewRNG(77)}
+	w.AddSnapshotRoot(late)
+	w.RekeyStreams(9)
+	if got, want := late.g.Seed(), rekeyedSeed(77, 9); got != want {
+		t.Fatalf("stream of a root added after the snapshot: seed %#x, want %#x", got, want)
+	}
+
+	d := w.NewDevice(host.DeviceConfig{Name: "late"})
+	before := d.Stack.RNG.Seed()
+	w.RekeyStreams(10)
+	if got, want := d.Stack.RNG.Seed(), rekeyedSeed(before, 10); got != want {
+		t.Fatalf("stream of a device added after the snapshot: seed %#x, want %#x", got, want)
+	}
+
+	w.Sched.After(sim.Millisecond, "attach", func() { holder.g = sim.NewRNG(88) })
+	w.RunFor(2 * sim.Millisecond)
+	w.RekeyStreams(11)
+	if got, want := holder.g.Seed(), rekeyedSeed(88, 11); got != want {
+		t.Fatalf("stream attached by an event after the snapshot: seed %#x, want %#x", got, want)
+	}
+
+	w.Fork(snap)
+	if holder.g != nil {
+		t.Fatal("fork kept a stream attached after the snapshot")
+	}
+	g := w.RNG
+	seed := g.Seed()
+	w.RekeyStreams(12)
+	if got, want := g.Seed(), rekeyedSeed(seed, 12); got != want {
+		t.Fatalf("world stream after fork: seed %#x, want %#x", got, want)
+	}
+}
+
+// TestRekeyAfterForkTakesNoWalk checks that rekeying a fork reuses the
+// snapshot's stream list: no capture walk, so no allocation.
+func TestRekeyAfterForkTakesNoWalk(t *testing.T) {
+	w, _, _ := connectedWorld(t, 6)
+	w.RunFor(500 * sim.Millisecond)
+	snap := w.Snapshot()
+	w.RunFor(100 * sim.Millisecond)
+	w.Fork(snap)
+	salt := uint64(0)
+	if allocs := testing.AllocsPerRun(20, func() {
+		salt++
+		w.RekeyStreams(salt)
+	}); allocs != 0 {
+		t.Fatalf("RekeyStreams after Fork allocated %.0f times per call, want 0", allocs)
+	}
+}

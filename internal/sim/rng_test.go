@@ -148,3 +148,26 @@ func TestRNGNormalMoments(t *testing.T) {
 		t.Fatalf("Normal(10,2) mean = %.3f", mean)
 	}
 }
+
+// TestChildSeedMatchesStreams pins the FNV seed derivation to the streams
+// it stands in for: ChildSeed/ChildNSeed must give the seed Child/ChildN
+// build, and Rekey must reseed to ChildNSeed(seed, "rekey", salt).
+func TestChildSeedMatchesStreams(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 31000, 1<<63 + 5} {
+		for _, name := range []string{"", "warm", "hopInterval=75", "clock"} {
+			if got, want := ChildSeed(seed, name), NewRNG(seed).Child(name).Seed(); got != want {
+				t.Fatalf("ChildSeed(%d, %q) = %#x, want %#x", seed, name, got, want)
+			}
+			for _, n := range []int{0, 1, 7, 1 << 40} {
+				if got, want := ChildNSeed(seed, name, uint64(n)), NewRNG(seed).ChildN(name, n).Seed(); got != want {
+					t.Fatalf("ChildNSeed(%d, %q, %d) = %#x, want %#x", seed, name, n, got, want)
+				}
+			}
+		}
+	}
+	g := NewRNG(99)
+	g.Rekey(5)
+	if g.Seed() != 0xc3be067caa411ce7 || g.Seed() != ChildNSeed(99, "rekey", 5) {
+		t.Fatalf("Rekey(5) of seed 99 gave %#x", g.Seed())
+	}
+}

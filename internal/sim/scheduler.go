@@ -88,6 +88,9 @@ func (s *Scheduler) Pending() int { return len(s.heap) }
 // Processed returns the total number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.ran }
 
+// Scheduled returns the total number of events ever scheduled.
+func (s *Scheduler) Scheduled() uint64 { return s.seq }
+
 // alloc takes an event from the free list or the heap allocator.
 func (s *Scheduler) alloc() *event {
 	if e := s.free; e != nil {

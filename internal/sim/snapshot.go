@@ -1,7 +1,5 @@
 package sim
 
-import "hash/fnv"
-
 // SchedulerSnapshot is a restorable capture of a scheduler: its clock, the
 // event heap (including each queued event's callback, label and
 // generation), the free list and the processed/sequence counters.
@@ -53,28 +51,18 @@ func (g *RNG) Restore(snap *RNGSnapshot) {
 // Reseed re-initialises the stream in place to the exact state NewRNG(seed)
 // would produce, without replacing the *RNG object — every component
 // holding this stream sees the new sequence. This is how a forked world is
-// given fresh per-trial randomness after a snapshot restore.
+// given fresh per-trial randomness after a snapshot restore. The generator
+// is seeded lazily, on the stream's first draw.
 func (g *RNG) Reseed(seed uint64) {
 	g.seed = seed
-	g.r.Seed(int64(seed))
+	g.stale = true
 }
 
 // Rekey reseeds the stream with a seed derived from its own current seed
-// and salt (FNV-1a, like Child). Because the derivation depends only on
-// the stream's identity — its construction seed — and the salt, rekeying
-// every stream of a world gives a deterministic result independent of the
-// order the streams are visited in.
+// and salt (ChildNSeed with the name "rekey"). Because the derivation
+// depends only on the stream's identity — its construction seed — and the
+// salt, rekeying every stream of a world gives a deterministic result
+// independent of the order the streams are visited in.
 func (g *RNG) Rekey(salt uint64) {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(g.seed >> (8 * i))
-	}
-	_, _ = h.Write(b[:])
-	_, _ = h.Write([]byte("rekey"))
-	for i := 0; i < 8; i++ {
-		b[i] = byte(salt >> (8 * i))
-	}
-	_, _ = h.Write(b[:])
-	g.Reseed(h.Sum64())
+	g.Reseed(ChildNSeed(g.seed, "rekey", salt))
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -126,6 +127,61 @@ func TestRNGReseedMatchesFreshStream(t *testing.T) {
 	fresh.Bytes(want[:])
 	if buf != want {
 		t.Fatalf("reseeded Bytes %v != fresh %v", buf, want)
+	}
+}
+
+// drawEach takes one draw from every draw method in turn, twice over, so
+// whichever method draws first is the one that seeds a lazily reseeded
+// stream.
+func drawEach(g *RNG, first int) []uint64 {
+	methods := []func() uint64{
+		func() uint64 { return uint64(int64(g.Float64() * 1e15)) },
+		func() uint64 { return uint64(int64(g.NormFloat64() * 1e12)) },
+		func() uint64 { return uint64(g.Intn(1 << 30)) },
+		func() uint64 { return uint64(g.Uint32()) },
+		func() uint64 { return g.Uint64() },
+		func() uint64 {
+			var b [5]byte
+			g.Bytes(b[:])
+			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 | uint64(b[4])<<32
+		},
+		func() uint64 { return uint64(g.Duration(Second)) },
+	}
+	var out []uint64
+	for i := 0; i < 2*len(methods); i++ {
+		out = append(out, methods[(first+i)%len(methods)]())
+	}
+	return out
+}
+
+// TestRNGLazyReseedMatchesNewRNG checks that a reseeded stream, which seeds
+// its generator only on the first draw, draws exactly what NewRNG(seed)
+// does whichever method draws first — also when the stream was
+// snapshotted before that first draw and restored after it.
+func TestRNGLazyReseedMatchesNewRNG(t *testing.T) {
+	const seed = 0xfeedface
+	for first := 0; first < 7; first++ {
+		want := drawEach(NewRNG(seed), first)
+
+		g := NewRNG(3)
+		g.Uint64()
+		var partial [3]byte
+		g.Bytes(partial[:]) // leave Read state the reseed must clear
+		g.Reseed(seed)
+		if got := drawEach(g, first); !slices.Equal(got, want) {
+			t.Fatalf("method %d first: reseeded draws %v, want %v", first, got, want)
+		}
+
+		g.Rekey(1)
+		g.Reseed(seed)
+		snap := g.Snapshot() // taken while the reseed is still pending
+		if got := drawEach(g, first); !slices.Equal(got, want) {
+			t.Fatalf("method %d first: draws after a stale snapshot %v, want %v", first, got, want)
+		}
+		g.Restore(snap)
+		if got := drawEach(g, first); !slices.Equal(got, want) {
+			t.Fatalf("method %d first: draws after restoring a stale snapshot %v, want %v", first, got, want)
+		}
 	}
 }
 

@@ -101,6 +101,7 @@ type Capture struct {
 	objs    []savedObj
 	regions []savedRegion
 	maps    []savedMap
+	rngs    []*RNG
 }
 
 // walker performs the graph traversal shared by CaptureRoots and
@@ -179,6 +180,9 @@ func (w *walker) walk(v reflect.Value) {
 			snap := reflect.New(elemT).Elem()
 			snap.Set(live)
 			w.cap.objs = append(w.cap.objs, savedObj{live: live, snap: snap})
+			if elemT == rngType {
+				w.cap.rngs = append(w.cap.rngs, (*RNG)(ptr))
+			}
 		}
 		w.walk(live)
 
@@ -321,3 +325,8 @@ func (c *Capture) Restore() {
 // Objects reports how many distinct objects the capture holds (testing and
 // diagnostics).
 func (c *Capture) Objects() int { return len(c.objs) }
+
+// RNGs lists every random stream the capture holds, each once, in walk
+// order. Restore writes streams back in place, so the list stays valid for
+// the captured graph across any number of restores.
+func (c *Capture) RNGs() []*RNG { return c.rngs }
