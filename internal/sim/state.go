@@ -20,6 +20,11 @@ import (
 // copies themselves keep each captured object alive between Capture and the
 // final Restore.
 //
+// The walk also lists every *RNG it captures (Capture.RNGs). Restore writes
+// in place, so those pointers stay the streams of the restored graph: a
+// forked world rekeys its randomness from the list instead of walking the
+// graph again.
+//
 // What the engine deliberately does NOT do:
 //
 //   - It never looks inside function values. A closure's code pointer is
@@ -104,13 +109,11 @@ type Capture struct {
 	rngs    []*RNG
 }
 
-// walker performs the graph traversal shared by CaptureRoots and
-// VisitRNGs.
+// walker performs one capture's graph traversal.
 type walker struct {
-	cap      *Capture // nil when only visiting
-	seen     map[objKey]struct{}
-	mapSeen  map[unsafe.Pointer]struct{}
-	visitRNG func(*RNG)
+	cap     *Capture
+	seen    map[objKey]struct{}
+	mapSeen map[unsafe.Pointer]struct{}
 }
 
 // CaptureRoots deep-captures everything reachable from the given root
@@ -124,19 +127,6 @@ func CaptureRoots(roots ...any) *Capture {
 	}
 	w.walkRoots(roots)
 	return c
-}
-
-// VisitRNGs walks the same graph CaptureRoots would and calls visit once
-// for every *RNG encountered. It captures nothing. Used to rekey every
-// random stream of a forked world without maintaining a manual stream
-// registry.
-func VisitRNGs(visit func(*RNG), roots ...any) {
-	w := &walker{
-		seen:     make(map[objKey]struct{}),
-		mapSeen:  make(map[unsafe.Pointer]struct{}),
-		visitRNG: visit,
-	}
-	w.walkRoots(roots)
 }
 
 func (w *walker) walkRoots(roots []any) {
@@ -172,17 +162,12 @@ func (w *walker) walk(v reflect.Value) {
 			return
 		}
 		w.seen[key] = struct{}{}
-		if w.visitRNG != nil && elemT == rngType {
-			w.visitRNG((*RNG)(ptr))
-		}
 		live := reflect.NewAt(elemT, ptr).Elem()
-		if w.cap != nil {
-			snap := reflect.New(elemT).Elem()
-			snap.Set(live)
-			w.cap.objs = append(w.cap.objs, savedObj{live: live, snap: snap})
-			if elemT == rngType {
-				w.cap.rngs = append(w.cap.rngs, (*RNG)(ptr))
-			}
+		snap := reflect.New(elemT).Elem()
+		snap.Set(live)
+		w.cap.objs = append(w.cap.objs, savedObj{live: live, snap: snap})
+		if elemT == rngType {
+			w.cap.rngs = append(w.cap.rngs, (*RNG)(ptr))
 		}
 		w.walk(live)
 
@@ -227,11 +212,9 @@ func (w *walker) walk(v reflect.Value) {
 		key := objKey{ptr, reflect.ArrayOf(v.Cap(), elemT)}
 		if _, ok := w.seen[key]; !ok {
 			w.seen[key] = struct{}{}
-			if w.cap != nil {
-				snap := reflect.MakeSlice(v.Type(), v.Cap(), v.Cap())
-				reflect.Copy(snap, full)
-				w.cap.regions = append(w.cap.regions, savedRegion{live: full, snap: snap})
-			}
+			snap := reflect.MakeSlice(v.Type(), v.Cap(), v.Cap())
+			reflect.Copy(snap, full)
+			w.cap.regions = append(w.cap.regions, savedRegion{live: full, snap: snap})
 		}
 		if !hasPointers(elemT) {
 			return
@@ -251,11 +234,8 @@ func (w *walker) walk(v reflect.Value) {
 			return
 		}
 		w.mapSeen[ptr] = struct{}{}
-		var sm *savedMap
-		if w.cap != nil {
-			w.cap.maps = append(w.cap.maps, savedMap{live: v})
-			sm = &w.cap.maps[len(w.cap.maps)-1]
-		}
+		w.cap.maps = append(w.cap.maps, savedMap{live: v})
+		sm := &w.cap.maps[len(w.cap.maps)-1]
 		it := v.MapRange()
 		kt, vt := v.Type().Key(), v.Type().Elem()
 		for it.Next() {
@@ -263,10 +243,8 @@ func (w *walker) walk(v reflect.Value) {
 			k.Set(it.Key())
 			val := reflect.New(vt).Elem()
 			val.Set(it.Value())
-			if sm != nil {
-				sm.keys = append(sm.keys, k)
-				sm.vals = append(sm.vals, val)
-			}
+			sm.keys = append(sm.keys, k)
+			sm.vals = append(sm.vals, val)
 			w.walk(k)
 			w.walk(val)
 		}

@@ -151,18 +151,22 @@ func TestRestoreIsRepeatable(t *testing.T) {
 	}
 }
 
-func TestVisitRNGs(t *testing.T) {
+func TestCaptureRNGs(t *testing.T) {
 	type holder struct {
 		g     *RNG
 		child *RNG
+		again *RNG
 		bag   map[string]*RNG
 	}
 	h := &holder{g: NewRNG(1)}
 	h.child = h.g.Child("c")
+	h.again = h.child // reached twice, listed once
 	h.bag = map[string]*RNG{"m": h.g.Child("m")}
-	seen := map[*RNG]bool{}
-	VisitRNGs(func(g *RNG) { seen[g] = true }, h)
-	if len(seen) != 3 || !seen[h.g] || !seen[h.child] || !seen[h.bag["m"]] {
-		t.Fatalf("visited %d RNGs, want 3", len(seen))
+	seen := map[*RNG]int{}
+	for _, g := range CaptureRoots(h).RNGs() {
+		seen[g]++
+	}
+	if len(seen) != 3 || seen[h.g] != 1 || seen[h.child] != 1 || seen[h.bag["m"]] != 1 {
+		t.Fatalf("capture listed %v, want each of the 3 RNGs once", seen)
 	}
 }
