@@ -5,6 +5,8 @@
 // InjectaBLE's synchronisation step builds upon.
 package crc
 
+import "math/bits"
+
 // poly is the CRC-24 feedback polynomial's tap mask, bits 0,1,3,4,6,9,10
 // (x²⁴ is implicit).
 const poly uint32 = 0x00065B
@@ -20,20 +22,39 @@ const mask uint32 = 0xFFFFFF
 // fed back. The transmitted CRC bits are the register read out LSB-first;
 // Compute returns the register value so that comparing two Compute results
 // is all a receiver needs.
+//
+// The LFSR shifts toward bit 23 while input bits arrive LSB first, so
+// Compute runs it mirrored: in the bit-reversed register the shift and the
+// input run the same way and a whole byte is one lookup in table.
 func Compute(init uint32, pdu []byte) uint32 {
-	lfsr := init & mask
+	r := reverse24(init)
 	for _, b := range pdu {
+		r = r>>8 ^ table[byte(r)^b]
+	}
+	return reverse24(r)
+}
+
+// reverse24 mirrors the low 24 bits of x.
+func reverse24(x uint32) uint32 { return bits.Reverse32(x) >> 8 }
+
+// table[i] is the mirrored register after eight zero-input steps from i:
+// the byte-at-a-time form of the bit-serial LFSR, over the mirrored
+// polynomial.
+var table = func() (t [256]uint32) {
+	rpoly := reverse24(poly)
+	for i := range t {
+		r := uint32(i)
 		for bit := 0; bit < 8; bit++ {
-			in := uint32(b>>bit) & 1
-			fb := (lfsr >> 23) ^ in // bit shifted out XOR input bit
-			lfsr = (lfsr << 1) & mask
-			if fb != 0 {
-				lfsr ^= poly
+			if r&1 != 0 {
+				r = r>>1 ^ rpoly
+			} else {
+				r >>= 1
 			}
 		}
+		t[i] = r
 	}
-	return lfsr
-}
+	return t
+}()
 
 // Check reports whether got is the CRC of pdu under init.
 func Check(init uint32, pdu []byte, got uint32) bool {

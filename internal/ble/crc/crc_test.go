@@ -1,9 +1,52 @@
 package crc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// computeBitSerial is the reference LFSR: one feedback step per input bit,
+// each byte least-significant bit first, exactly as the spec draws it.
+func computeBitSerial(init uint32, pdu []byte) uint32 {
+	lfsr := init & mask
+	for _, b := range pdu {
+		for bit := 0; bit < 8; bit++ {
+			in := uint32(b>>bit) & 1
+			fb := (lfsr >> 23) ^ in // bit shifted out XOR input bit
+			lfsr = (lfsr << 1) & mask
+			if fb != 0 {
+				lfsr ^= poly
+			}
+		}
+	}
+	return lfsr
+}
+
+// Property: the table-driven Compute equals the bit-serial reference.
+func TestComputeMatchesBitSerial(t *testing.T) {
+	f := func(init uint32, pdu []byte) bool {
+		return Compute(init, pdu) == computeBitSerial(init, pdu)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every PDU length the Link Layer can carry (0–255 bytes), from the
+// advertising CRCInit and from random ones.
+func TestComputeMatchesBitSerialAllLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 255; n++ {
+		pdu := make([]byte, n)
+		rng.Read(pdu)
+		for _, init := range []uint32{0x555555, rng.Uint32() & mask, rng.Uint32()} {
+			if got, want := Compute(init, pdu), computeBitSerial(init, pdu); got != want {
+				t.Fatalf("len %d init %#x: Compute = %06X, bit-serial = %06X", n, init, got, want)
+			}
+		}
+	}
+}
 
 func TestComputeDeterministic(t *testing.T) {
 	pdu := []byte{0x01, 0x02, 0x03}

@@ -129,6 +129,8 @@ type Injector struct {
 	stack   *link.Stack
 	sniffer *Sniffer
 	cfg     InjectorConfig
+	// Event labels, built once so scheduling allocates no string.
+	injectLabel, timeoutLabel string
 
 	active *injection
 
@@ -161,7 +163,13 @@ type injection struct {
 // NewInjector builds an injector sharing the sniffer's radio.
 func NewInjector(stack *link.Stack, sniffer *Sniffer, cfg InjectorConfig) *Injector {
 	cfg.applyDefaults()
-	return &Injector{stack: stack, sniffer: sniffer, cfg: cfg}
+	return &Injector{
+		stack:        stack,
+		sniffer:      sniffer,
+		cfg:          cfg,
+		injectLabel:  stack.Name + ":inject",
+		timeoutLabel: stack.Name + ":inject-timeout",
+	}
 }
 
 // Inject races payload into the followed connection, retrying until the
@@ -277,7 +285,7 @@ func (inj *Injector) scheduleAttempt() {
 	}
 
 	inj.sniffer.Pause()
-	inj.stack.Clock.AtLocalOffset(st.LastAnchor, offset, inj.stack.Name+":inject", func() {
+	inj.stack.Clock.AtLocalOffset(st.LastAnchor, offset, inj.injectLabel, func() {
 		inj.fire(frame)
 	})
 }
@@ -307,7 +315,7 @@ func (inj *Injector) fire(frame medium.Frame) {
 		inj.stack.Radio.StartListening()
 		// Give the slave T_IFS + a max-length response + margin.
 		deadline := ble.TIFS + phy.LE1M.AirTime(ble.MaxDataPDULen+6) + 80*sim.Microsecond
-		act.deadline = inj.stack.Sched.After(deadline, inj.stack.Name+":inject-timeout", func() {
+		act.deadline = inj.stack.Sched.After(deadline, inj.timeoutLabel, func() {
 			if inj.stack.Radio.Locked() || inj.stack.Radio.Acquiring() {
 				return // response arriving; onResponse settles it
 			}

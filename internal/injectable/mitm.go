@@ -77,8 +77,9 @@ type MITMConfig struct {
 // forged WinOffset staggers the two event schedules so the exchanges never
 // overlap, exactly as the paper's single nRF52840 dongle does it.
 type MITM struct {
-	stack *link.Stack
-	cfg   MITMConfig
+	stack  *link.Stack
+	cfg    MITMConfig
+	labels mitmLabels
 
 	params   link.ConnParams // shared AA/CRCInit/map/hop; timing = old
 	delta    sim.Duration    // slave-leg anchor offset from master-leg
@@ -107,6 +108,12 @@ type MITM struct {
 	OnForward func(fromMaster bool, p pdu.DataPDU)
 }
 
+// mitmLabels are the relay's event labels, built once per session so
+// scheduling allocates no string.
+type mitmLabels struct {
+	mOpen, mClose, mRsp, sAnchor, sTimeout string
+}
+
 // newMITM builds the engine; use Attacker.ManInTheMiddle.
 func newMITM(stack *link.Stack, st *ConnState, forged pdu.ConnectionUpdateInd, cfg MITMConfig) (*MITM, error) {
 	if cfg.MaxMissedEvents == 0 {
@@ -120,8 +127,15 @@ func newMITM(stack *link.Stack, st *ConnState, forged pdu.ConnectionUpdateInd, c
 		return nil, err
 	}
 	m := &MITM{
-		stack:    stack,
-		cfg:      cfg,
+		stack: stack,
+		cfg:   cfg,
+		labels: mitmLabels{
+			mOpen:    stack.Name + ":mitm-mleg-open",
+			mClose:   stack.Name + ":mitm-mleg-close",
+			mRsp:     stack.Name + ":mitm-mleg-rsp",
+			sAnchor:  stack.Name + ":mitm-sleg-anchor",
+			sTimeout: stack.Name + ":mitm-sleg-timeout",
+		},
 		params:   st.Params,
 		delta:    ble.ConnUnit + sim.Duration(forged.WinOffset)*ble.ConnUnit,
 		selector: sel,
@@ -180,7 +194,7 @@ func (m *MITM) scheduleMasterLeg() {
 	w := m.widening()
 	m.epoch++
 	epoch := m.epoch
-	ev := m.stack.Clock.AtLocalOffset(m.anchorM, span-w, m.stack.Name+":mitm-mleg-open", func() {
+	ev := m.stack.Clock.AtLocalOffset(m.anchorM, span-w, m.labels.mOpen, func() {
 		m.masterLegOpen(epoch, 2*w)
 	})
 	_ = ev
@@ -195,7 +209,7 @@ func (m *MITM) masterLegOpen(epoch uint64, width sim.Duration) {
 	m.stack.Radio.SetAccessAddress(uint32(m.params.AccessAddress))
 	m.stack.Radio.OnFrame = m.masterLegFrame
 	m.stack.Radio.StartListening()
-	m.stack.Sched.After(width, m.stack.Name+":mitm-mleg-close", func() {
+	m.stack.Sched.After(width, m.labels.mClose, func() {
 		m.masterLegClose(epoch)
 	})
 }
@@ -205,7 +219,7 @@ func (m *MITM) masterLegClose(epoch uint64) {
 		return
 	}
 	if m.stack.Radio.Locked() || m.stack.Radio.Acquiring() {
-		m.stack.Sched.After(50*sim.Microsecond, m.stack.Name+":mitm-mleg-close", func() {
+		m.stack.Sched.After(50*sim.Microsecond, m.labels.mClose, func() {
 			m.masterLegClose(epoch)
 		})
 		return
@@ -240,7 +254,7 @@ func (m *MITM) masterLegFrame(rx medium.Received) {
 
 	resp := m.legM.next()
 	frame := m.frame(resp)
-	m.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, m.stack.Name+":mitm-mleg-rsp", func() {
+	m.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, m.labels.mRsp, func() {
 		if m.closed {
 			return
 		}
@@ -268,7 +282,7 @@ func (m *MITM) runSlaveLeg() {
 	base := m.anchorM.Add(sim.Duration(m.missedM) * m.interval())
 	m.epoch++
 	epoch := m.epoch
-	m.stack.Clock.AtLocalOffset(base, m.delta, m.stack.Name+":mitm-sleg-anchor", func() {
+	m.stack.Clock.AtLocalOffset(base, m.delta, m.labels.sAnchor, func() {
 		m.slaveLegAnchor(epoch)
 	})
 }
@@ -289,7 +303,7 @@ func (m *MITM) slaveLegAnchor(epoch uint64) {
 		m.stack.Radio.OnFrame = m.slaveLegFrame
 		m.stack.Radio.StartListening()
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + 60*sim.Microsecond
-		m.stack.Sched.After(deadline, m.stack.Name+":mitm-sleg-timeout", func() {
+		m.stack.Sched.After(deadline, m.labels.sTimeout, func() {
 			m.slaveLegTimeout(epoch)
 		})
 	}
@@ -301,7 +315,7 @@ func (m *MITM) slaveLegTimeout(epoch uint64) {
 		return
 	}
 	if m.stack.Radio.Locked() || m.stack.Radio.Acquiring() {
-		m.stack.Sched.After(50*sim.Microsecond, m.stack.Name+":mitm-sleg-timeout", func() {
+		m.stack.Sched.After(50*sim.Microsecond, m.labels.sTimeout, func() {
 			m.slaveLegTimeout(epoch)
 		})
 		return

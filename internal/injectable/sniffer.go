@@ -29,7 +29,8 @@ type SniffedPacket struct {
 // channels, then follows the channel hopping, tracking anchors, SN/NESN
 // and parameter-update procedures.
 type Sniffer struct {
-	stack *link.Stack
+	stack  *link.Stack
+	labels snifferLabels
 
 	state  *ConnState
 	phase  snifferPhase
@@ -60,9 +61,21 @@ const (
 	phaseFollowing
 )
 
+// snifferLabels are the sniffer's event labels, built once so scheduling
+// allocates no string.
+type snifferLabels struct {
+	hop, winOpen, winClose, slaveWait, eventClose string
+}
+
 // NewSniffer builds a sniffer on the attacker's stack.
 func NewSniffer(stack *link.Stack) *Sniffer {
-	return &Sniffer{stack: stack}
+	return &Sniffer{stack: stack, labels: snifferLabels{
+		hop:        stack.Name + ":sniff-hop",
+		winOpen:    stack.Name + ":sniff-win-open",
+		winClose:   stack.Name + ":sniff-win-close",
+		slaveWait:  stack.Name + ":sniff-slave-wait",
+		eventClose: stack.Name + ":sniff-event-close",
+	}}
 }
 
 // State returns the live connection state (nil before synchronisation).
@@ -103,7 +116,7 @@ func (s *Sniffer) hopAdvChannel(i int) {
 // armAdvHop ends the dwell on advertising channel i%3 d from now, unless
 // the sniffer has moved on (epoch changed) by then.
 func (s *Sniffer) armAdvHop(d sim.Duration, i int, epoch uint64) {
-	s.stack.Sched.After(d, s.stack.Name+":sniff-hop", func() {
+	s.stack.Sched.After(d, s.labels.hop, func() {
 		if s.phase != phaseAdvertising || s.epoch != epoch {
 			return
 		}
@@ -252,7 +265,7 @@ func (s *Sniffer) scheduleWindow(openAt, closeAt sim.Time) {
 	if openAt < now {
 		openAt = now
 	}
-	s.stack.Sched.At(openAt, s.stack.Name+":sniff-win-open", func() {
+	s.stack.Sched.At(openAt, s.labels.winOpen, func() {
 		if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
 			return
 		}
@@ -268,7 +281,7 @@ func (s *Sniffer) scheduleWindow(openAt, closeAt sim.Time) {
 		if closeIn < 0 {
 			closeIn = 0
 		}
-		s.stack.Sched.After(closeIn, s.stack.Name+":sniff-win-close", func() {
+		s.stack.Sched.After(closeIn, s.labels.winClose, func() {
 			s.windowClose(epoch)
 		})
 	})
@@ -280,7 +293,7 @@ func (s *Sniffer) windowClose(epoch uint64) {
 		return
 	}
 	if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
-		s.stack.Sched.After(60*sim.Microsecond, s.stack.Name+":sniff-win-close", func() {
+		s.stack.Sched.After(60*sim.Microsecond, s.labels.winClose, func() {
 			s.windowClose(epoch)
 		})
 		return
@@ -349,7 +362,7 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		s.epoch++
 		epoch := s.epoch
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + 60*sim.Microsecond
-		s.stack.Sched.After(deadline, s.stack.Name+":sniff-slave-wait", func() {
+		s.stack.Sched.After(deadline, s.labels.slaveWait, func() {
 			s.windowClose(epoch)
 		})
 	} else {
@@ -369,7 +382,7 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		// Event complete after the slave frame (single exchange model).
 		s.epoch++
 		epoch := s.epoch
-		s.stack.Sched.After(sim.Microsecond, s.stack.Name+":sniff-event-close", func() {
+		s.stack.Sched.After(sim.Microsecond, s.labels.eventClose, func() {
 			s.windowClose(epoch)
 		})
 	}

@@ -27,6 +27,8 @@ type AdvertiserConfig struct {
 type Advertiser struct {
 	stack *Stack
 	cfg   AdvertiserConfig
+	// Event labels, built once so scheduling allocates no string.
+	eventLabel, rxCloseLabel, scanRspLabel string
 
 	running bool
 	chanIdx int
@@ -43,7 +45,13 @@ func NewAdvertiser(stack *Stack, cfg AdvertiserConfig) *Advertiser {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * sim.Millisecond
 	}
-	return &Advertiser{stack: stack, cfg: cfg}
+	return &Advertiser{
+		stack:        stack,
+		cfg:          cfg,
+		eventLabel:   stack.Name + ":adv-event",
+		rxCloseLabel: stack.Name + ":adv-rx-close",
+		scanRspLabel: stack.Name + ":scan-rsp",
+	}
 }
 
 // Start begins advertising.
@@ -69,7 +77,7 @@ func (a *Advertiser) Stop() {
 }
 
 func (a *Advertiser) scheduleEvent(d sim.Duration) {
-	ev := a.stack.Sched.After(d, a.stack.Name+":adv-event", func() {
+	ev := a.stack.Sched.After(d, a.eventLabel, func() {
 		a.chanIdx = 0
 		a.advertiseOnNext()
 	})
@@ -104,7 +112,7 @@ func (a *Advertiser) advertiseOnNext() {
 		// Listen T_IFS + a CONNECT_REQ air time, then move on.
 		window := ble.TIFS + phy.LE1M.AirTime(36) + 20*sim.Microsecond
 		epoch := a.epoch
-		ev := a.stack.Sched.After(window, a.stack.Name+":adv-rx-close", func() {
+		ev := a.stack.Sched.After(window, a.rxCloseLabel, func() {
 			if !a.running || a.epoch != epoch {
 				return // a frame arrived and moved the event along
 			}
@@ -146,7 +154,7 @@ func (a *Advertiser) onFrame(rx medium.Received) {
 		}
 		rsp := pdu.ScanRsp{AdvAddr: a.stack.Address, ScanData: a.cfg.ScanData}
 		frame := advFrame(rsp.Marshal())
-		a.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, a.stack.Name+":scan-rsp", func() {
+		a.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, a.scanRspLabel, func() {
 			if !a.running {
 				return
 			}

@@ -117,6 +117,7 @@ type Conn struct {
 	peer     ble.Address
 	selector csa.Selector
 	ins      *connInstruments
+	labels   connLabels
 
 	eventCount  uint16
 	sn, nesn    bool
@@ -178,6 +179,12 @@ type Conn struct {
 }
 
 // newConn wires the common parts of both roles.
+// connLabels are the labels of a connection's per-event timers, built once
+// per connection so scheduling an event allocates no string.
+type connLabels struct {
+	anchor, winOpen, winClose, response, noResponse string
+}
+
 func newConn(stack *Stack, role Role, params ConnParams, peer ble.Address) (*Conn, error) {
 	sel, err := newSelector(params)
 	if err != nil {
@@ -190,6 +197,13 @@ func newConn(stack *Stack, role Role, params ConnParams, peer ble.Address) (*Con
 		peer:     peer,
 		selector: sel,
 		ins:      newConnInstruments(stack),
+		labels: connLabels{
+			anchor:     stack.Name + ":anchor",
+			winOpen:    stack.Name + ":win-open",
+			winClose:   stack.Name + ":win-close",
+			response:   stack.Name + ":response",
+			noResponse: stack.Name + ":no-response",
+		},
 	}
 	stack.Radio.SetAccessAddress(uint32(params.AccessAddress))
 	stack.Radio.OnFrame = c.onFrame
@@ -359,7 +373,7 @@ func (c *Conn) close(reason DisconnectReason) {
 
 // schedule registers a cancellable timer.
 func (c *Conn) schedule(d sim.Duration, label string, fn func()) sim.EventRef {
-	ev := c.stack.Sched.After(d, c.stack.Name+":"+label, fn)
+	ev := c.stack.Sched.After(d, label, fn)
 	c.timers = append(c.timers, ev)
 	return ev
 }
@@ -370,7 +384,7 @@ func (c *Conn) scheduleAt(t sim.Time, label string, fn func()) sim.EventRef {
 	if t < now {
 		t = now
 	}
-	ev := c.stack.Sched.At(t, c.stack.Name+":"+label, fn)
+	ev := c.stack.Sched.At(t, label, fn)
 	c.timers = append(c.timers, ev)
 	return ev
 }

@@ -25,8 +25,9 @@ type InitiatorConfig struct {
 // Initiator scans the advertising channels and establishes a connection to
 // a target peripheral, becoming the master.
 type Initiator struct {
-	stack *Stack
-	cfg   InitiatorConfig
+	stack    *Stack
+	cfg      InitiatorConfig
+	hopLabel string // built once so scheduling allocates no string
 
 	running bool
 	chanIdx int
@@ -50,7 +51,7 @@ func NewInitiator(stack *Stack, cfg InitiatorConfig) *Initiator {
 		cfg.Params.CRCInit = stack.RNG.Uint32() & 0xFFFFFF
 	}
 	applyConnParamDefaults(&cfg.Params)
-	return &Initiator{stack: stack, cfg: cfg}
+	return &Initiator{stack: stack, cfg: cfg, hopLabel: stack.Name + ":scan-hop"}
 }
 
 // applyConnParamDefaults fills zero fields with sane values.
@@ -110,7 +111,7 @@ func (i *Initiator) listenNext() {
 
 // armScanHop ends the current channel's dwell d from now.
 func (i *Initiator) armScanHop(d sim.Duration) {
-	ev := i.stack.Sched.After(d, i.stack.Name+":scan-hop", func() {
+	ev := i.stack.Sched.After(d, i.hopLabel, func() {
 		if !i.running {
 			return
 		}

@@ -79,7 +79,7 @@ func (c *Conn) masterEventBody() {
 		// If the slave's response preamble has not started by
 		// T_IFS + preamble+AA + slack, the event is over.
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
-		c.schedule(deadline, "no-response", func() {
+		c.schedule(deadline, c.labels.noResponse, func() {
 			if c.closed || !c.awaitingResponse {
 				return
 			}
@@ -126,6 +126,6 @@ func (c *Conn) closeMasterEvent() {
 	}
 	c.eventCount++
 	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, c.params.IntervalDuration(),
-		c.stack.Name+":anchor", c.masterEvent)
+		c.labels.anchor, c.masterEvent)
 	c.timers = append(c.timers, ev)
 }

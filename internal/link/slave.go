@@ -42,7 +42,7 @@ func (c *Conn) scheduleSlaveWindowForTransmitWindow(w TransmitWindow, ref sim.Ti
 	c.setPendingWindow(WindowInitial, span, widening, w.Size)
 	openOffset := span - widening
 	closeOffset := w.End().Sub(ref) + widening
-	ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.stack.Name+":win-open", func() {
+	ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.labels.winOpen, func() {
 		c.slaveOpenWindow(closeOffset - openOffset)
 	})
 	c.timers = append(c.timers, ev)
@@ -94,7 +94,7 @@ func (c *Conn) scheduleNextSlaveWindow() {
 	widening := c.currentWidening()
 	c.ins.onWidening(widening)
 	c.setPendingWindow(WindowSteady, span, widening, 0)
-	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, span-widening, c.stack.Name+":win-open", func() {
+	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, span-widening, c.labels.winOpen, func() {
 		c.slaveOpenWindow(2 * widening)
 	})
 	c.timers = append(c.timers, ev)
@@ -159,7 +159,7 @@ func (c *Conn) slaveOpenWindow(width sim.Duration) {
 	}
 	c.winEpoch++
 	epoch := c.winEpoch
-	c.schedule(width, "win-close", func() { c.slaveWindowClose(epoch) })
+	c.schedule(width, c.labels.winClose, func() { c.slaveWindowClose(epoch) })
 }
 
 // slaveWindowClose fires at the end of the widened receive window. Packets
@@ -174,7 +174,7 @@ func (c *Conn) slaveWindowClose(epoch uint64) {
 	}
 	if c.stack.Radio.Acquiring() {
 		// A preamble that started inside the window is still arriving.
-		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, "win-close",
+		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, c.labels.winClose,
 			func() { c.slaveWindowClose(epoch) })
 		return
 	}
@@ -227,7 +227,7 @@ func (c *Conn) slaveOnFrame(rx medium.Received) {
 
 	// Respond T_IFS after the end of the received frame.
 	frame := c.nextPDU()
-	ev := c.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, c.stack.Name+":response", func() {
+	ev := c.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, c.labels.response, func() {
 		if c.closed {
 			return
 		}
