@@ -13,7 +13,7 @@ import (
 
 // connectedWorld builds a lightbulb + smartphone world and registers the
 // wrappers as snapshot roots, the way fork-based trials do.
-func connectedWorld(t *testing.T, seed uint64) (*host.World, *devices.Lightbulb, *devices.Smartphone) {
+func connectedWorld(t testing.TB, seed uint64) (*host.World, *devices.Lightbulb, *devices.Smartphone) {
 	t.Helper()
 	w := host.NewWorld(host.WorldConfig{Seed: seed})
 	bulb := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{Name: "bulb"}))
