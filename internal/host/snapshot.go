@@ -31,20 +31,15 @@ func (w *World) Snapshot() *Snapshot {
 	// the capture so a restore never resurrects a list (or the streams
 	// only it still references) from an earlier walk.
 	w.streams = nil
-	c := sim.CaptureRoots(w.snapshotRoots()...)
-	w.noteStreams(c.RNGs())
-	return &Snapshot{w: w, cap: c}
-}
-
-// snapshotRoots lists the roots a capture walks: the world, every device
-// and every registered root.
-func (w *World) snapshotRoots() []any {
-	roots := make([]any, 0, 1+len(w.devices)+len(w.roots))
+	roots := make([]any, 0, 2+len(w.devices)+len(w.roots))
 	roots = append(roots, w)
 	for _, d := range w.devices {
 		roots = append(roots, d)
 	}
-	return append(roots, w.roots...)
+	roots = append(roots, w.roots...)
+	c := sim.CaptureRoots(roots...)
+	w.noteStreams(c.RNGs())
+	return &Snapshot{w: w, cap: c}
 }
 
 // Fork rolls this world back to the snapshot, beginning a new timeline
