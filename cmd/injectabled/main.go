@@ -35,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -52,6 +53,8 @@ func main() {
 // listener's address once it is accepting connections (used by tests;
 // nil in production).
 func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
+	// Signal goroutines report on stderr while the main flow does.
+	stderr = &syncWriter{w: stderr}
 	if len(argv) == 0 {
 		usage(stderr)
 		return 2
@@ -87,6 +90,18 @@ func usage(w io.Writer) {
   injectabled transcode   [-i file] [-o file] [-to ndjson|binary]   (losslessly convert a result stream; direction auto-detected)
   injectabled loadgen     [-addr url | -self] [-clients n] [-jobs n] [-experiment name] [-target t] [-trials n] [-variants n]
 `)
+}
+
+// syncWriter serialises writes from concurrent goroutines to one writer.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
 }
 
 // signalCh is replaced by tests to inject shutdown signals.

@@ -62,6 +62,12 @@ func (p DataPDU) IsControl() bool { return p.Header.LLID == LLIDControl }
 // Marshal renders the on-air PDU. The header Length field is forced to the
 // payload length.
 func (p DataPDU) Marshal() []byte {
+	return p.AppendMarshal(make([]byte, 0, 2+len(p.Payload)))
+}
+
+// AppendMarshal appends the on-air PDU (as Marshal renders it) to dst and
+// returns the extended slice.
+func (p DataPDU) AppendMarshal(dst []byte) []byte {
 	h0 := byte(p.Header.LLID) & 0x3
 	if p.Header.NESN {
 		h0 |= 1 << 2
@@ -72,9 +78,8 @@ func (p DataPDU) Marshal() []byte {
 	if p.Header.MD {
 		h0 |= 1 << 4
 	}
-	out := make([]byte, 0, 2+len(p.Payload))
-	out = append(out, h0, byte(len(p.Payload)))
-	return append(out, p.Payload...)
+	dst = append(dst, h0, byte(len(p.Payload)))
+	return append(dst, p.Payload...)
 }
 
 // UnmarshalDataPDU parses a data-channel PDU.

@@ -41,6 +41,16 @@ type Sniffer struct {
 	// observed (so the next frame is the slave's response).
 	eventHasMaster bool
 
+	// closeAt is when the window opened by the pending win-open timer
+	// closes (set by scheduleWindow, read by windowOpen).
+	closeAt sim.Time
+
+	// Window timers and the data-frame handler, bound once in NewSniffer
+	// so following a connection allocates no closure per event. The
+	// timers carry their epoch as the event's scalar argument.
+	windowOpenFn, windowCloseFn func(_ any, epoch uint64)
+	onDataFrameFn               func(rx medium.Received)
+
 	// OnConnectReq fires when a connection initiation is captured.
 	OnConnectReq func(req pdu.ConnectReq)
 	// OnSync fires once the sniffer is following a connection.
@@ -69,13 +79,23 @@ type snifferLabels struct {
 
 // NewSniffer builds a sniffer on the attacker's stack.
 func NewSniffer(stack *link.Stack) *Sniffer {
-	return &Sniffer{stack: stack, labels: snifferLabels{
+	s := &Sniffer{stack: stack, labels: snifferLabels{
 		hop:        stack.Name + ":sniff-hop",
 		winOpen:    stack.Name + ":sniff-win-open",
 		winClose:   stack.Name + ":sniff-win-close",
 		slaveWait:  stack.Name + ":sniff-slave-wait",
 		eventClose: stack.Name + ":sniff-event-close",
 	}}
+	s.windowOpenFn = s.windowOpen
+	s.windowCloseFn = s.windowClose
+	s.onDataFrameFn = s.onDataFrame
+	return s
+}
+
+// closeAfter schedules windowClose for epoch d from now.
+func (s *Sniffer) closeAfter(d sim.Duration, label string, epoch uint64) {
+	sched := s.stack.Sched
+	sched.AtArg(sched.Now().Add(d), label, s.windowCloseFn, nil, epoch)
 }
 
 // State returns the live connection state (nil before synchronisation).
@@ -260,42 +280,42 @@ func (s *Sniffer) scheduleNextEventWindow() {
 // upcoming event's channel.
 func (s *Sniffer) scheduleWindow(openAt, closeAt sim.Time) {
 	s.epoch++
-	epoch := s.epoch
 	now := s.stack.Sched.Now()
 	if openAt < now {
 		openAt = now
 	}
-	s.stack.Sched.At(openAt, s.labels.winOpen, func() {
-		if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
-			return
-		}
-		st := s.state
-		ch := st.ChannelFor(st.EventCount)
-		s.eventHasMaster = false
-		st.LastEventSawSlave = false
-		s.stack.Radio.SetChannel(phy.Channel(ch))
-		s.stack.Radio.SetAccessAddress(uint32(st.Params.AccessAddress))
-		s.stack.Radio.OnFrame = s.onDataFrame
-		s.stack.Radio.StartListening()
-		closeIn := closeAt.Sub(s.stack.Sched.Now())
-		if closeIn < 0 {
-			closeIn = 0
-		}
-		s.stack.Sched.After(closeIn, s.labels.winClose, func() {
-			s.windowClose(epoch)
-		})
-	})
+	s.closeAt = closeAt
+	s.stack.Sched.AtArg(openAt, s.labels.winOpen, s.windowOpenFn, nil, s.epoch)
 }
 
-// windowClose ends the event observation if nothing more is arriving.
-func (s *Sniffer) windowClose(epoch uint64) {
+// windowOpen starts listening on the event's channel until closeAt.
+func (s *Sniffer) windowOpen(_ any, epoch uint64) {
+	if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
+		return
+	}
+	st := s.state
+	ch := st.ChannelFor(st.EventCount)
+	s.eventHasMaster = false
+	st.LastEventSawSlave = false
+	s.stack.Radio.SetChannel(phy.Channel(ch))
+	s.stack.Radio.SetAccessAddress(uint32(st.Params.AccessAddress))
+	s.stack.Radio.OnFrame = s.onDataFrameFn
+	s.stack.Radio.StartListening()
+	closeIn := s.closeAt.Sub(s.stack.Sched.Now())
+	if closeIn < 0 {
+		closeIn = 0
+	}
+	s.closeAfter(closeIn, s.labels.winClose, epoch)
+}
+
+// windowClose ends the event observation of epoch if nothing more is
+// arriving.
+func (s *Sniffer) windowClose(_ any, epoch uint64) {
 	if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
 		return
 	}
 	if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
-		s.stack.Sched.After(60*sim.Microsecond, s.labels.winClose, func() {
-			s.windowClose(epoch)
-		})
+		s.closeAfter(60*sim.Microsecond, s.labels.winClose, epoch)
 		return
 	}
 	s.stack.Radio.StopListening()
@@ -360,11 +380,8 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		// Keep listening for the slave's response.
 		s.stack.Radio.StartListening()
 		s.epoch++
-		epoch := s.epoch
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + 60*sim.Microsecond
-		s.stack.Sched.After(deadline, s.labels.slaveWait, func() {
-			s.windowClose(epoch)
-		})
+		s.closeAfter(deadline, s.labels.slaveWait, s.epoch)
 	} else {
 		st.LastEventSawSlave = true
 		if crcOK && err == nil {
@@ -381,10 +398,7 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		}
 		// Event complete after the slave frame (single exchange model).
 		s.epoch++
-		epoch := s.epoch
-		s.stack.Sched.After(sim.Microsecond, s.labels.eventClose, func() {
-			s.windowClose(epoch)
-		})
+		s.closeAfter(sim.Microsecond, s.labels.eventClose, s.epoch)
 	}
 	if err == nil {
 		s.deliverPacket(role, p, crcOK, rx)

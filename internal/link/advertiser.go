@@ -1,6 +1,7 @@
 package link
 
 import (
+	"bytes"
 	"fmt"
 
 	"injectable/internal/ble"
@@ -33,7 +34,23 @@ type Advertiser struct {
 	running bool
 	chanIdx int
 	epoch   uint64 // invalidates stale per-channel timers
+	// pending holds the refs of queued timers so Stop can cancel them;
+	// appendPending keeps it O(live timers).
 	pending []sim.EventRef
+
+	// advInd caches the ADV_IND frame sent on every channel of every
+	// event, with the address and AdvData it was built from: the frame is
+	// rebuilt only when either changes (a clone rewrites Stack.Address).
+	// Sharing it is safe because the medium copies the PDU on Transmit.
+	advInd     medium.Frame
+	advIndAddr ble.Address
+	advIndData []byte
+
+	// Callbacks bound once in NewAdvertiser so the per-channel scheduling
+	// allocates no closure.
+	eventFn, txDoneFn func()
+	rxCloseFn         func(_ any, epoch uint64)
+	onFrameFn         func(rx medium.Received)
 
 	// OnConnect fires when a CONNECT_REQ addressed to us establishes a
 	// slave connection.
@@ -45,13 +62,18 @@ func NewAdvertiser(stack *Stack, cfg AdvertiserConfig) *Advertiser {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * sim.Millisecond
 	}
-	return &Advertiser{
+	a := &Advertiser{
 		stack:        stack,
 		cfg:          cfg,
 		eventLabel:   stack.Name + ":adv-event",
 		rxCloseLabel: stack.Name + ":adv-rx-close",
 		scanRspLabel: stack.Name + ":scan-rsp",
 	}
+	a.eventFn = a.startEvent
+	a.txDoneFn = a.txDone
+	a.rxCloseFn = a.rxClose
+	a.onFrameFn = a.onFrame
+	return a
 }
 
 // Start begins advertising.
@@ -77,11 +99,25 @@ func (a *Advertiser) Stop() {
 }
 
 func (a *Advertiser) scheduleEvent(d sim.Duration) {
-	ev := a.stack.Sched.After(d, a.eventLabel, func() {
-		a.chanIdx = 0
-		a.advertiseOnNext()
-	})
-	a.pending = append(a.pending, ev)
+	a.pending = appendPending(a.pending, a.stack.Sched.After(d, a.eventLabel, a.eventFn))
+}
+
+// startEvent begins an advertising event on the first channel.
+func (a *Advertiser) startEvent() {
+	a.chanIdx = 0
+	a.advertiseOnNext()
+}
+
+// advIndFrame returns the ADV_IND frame for the current address and
+// AdvData, rebuilding the cached one only when either has changed.
+func (a *Advertiser) advIndFrame() medium.Frame {
+	if a.advInd.PDU == nil || a.advIndAddr != a.stack.Address || !bytes.Equal(a.advIndData, a.cfg.AdvData) {
+		adv := pdu.AdvInd{AdvAddr: a.stack.Address, AdvData: a.cfg.AdvData, ChSel: true}
+		a.advInd = advFrame(adv.Marshal())
+		a.advIndAddr = a.stack.Address
+		a.advIndData = append(a.advIndData[:0], a.cfg.AdvData...)
+	}
+	return a.advInd
 }
 
 // advertiseOnNext transmits ADV_IND on the next advertising channel and
@@ -100,34 +136,39 @@ func (a *Advertiser) advertiseOnNext() {
 	a.chanIdx++
 	a.stack.Radio.SetChannel(ch)
 
-	adv := pdu.AdvInd{AdvAddr: a.stack.Address, AdvData: a.cfg.AdvData, ChSel: true}
-	frame := advFrame(adv.Marshal())
-	a.stack.Radio.OnTxDone = func() {
-		a.stack.Radio.OnTxDone = nil
-		if !a.running {
-			return
-		}
-		a.stack.Radio.OnFrame = a.onFrame
-		a.stack.Radio.StartListening()
-		// Listen T_IFS + a CONNECT_REQ air time, then move on.
-		window := ble.TIFS + phy.LE1M.AirTime(36) + 20*sim.Microsecond
-		epoch := a.epoch
-		ev := a.stack.Sched.After(window, a.rxCloseLabel, func() {
-			if !a.running || a.epoch != epoch {
-				return // a frame arrived and moved the event along
-			}
-			if a.stack.Radio.Locked() || a.stack.Radio.Acquiring() {
-				return
-			}
-			a.stack.Radio.StopListening()
-			a.advertiseOnNext()
-		})
-		a.pending = append(a.pending, ev)
-	}
+	frame := a.advIndFrame()
+	a.stack.Radio.OnTxDone = a.txDoneFn
 	a.stack.trace("adv-tx", func() []sim.Field {
 		return []sim.Field{sim.F("ch", ch)}
 	})
 	a.stack.Radio.Transmit(frame)
+}
+
+// txDone follows an ADV_IND: listen T_IFS + a CONNECT_REQ air time for a
+// request, then move on (rxClose).
+func (a *Advertiser) txDone() {
+	a.stack.Radio.OnTxDone = nil
+	if !a.running {
+		return
+	}
+	a.stack.Radio.OnFrame = a.onFrameFn
+	a.stack.Radio.StartListening()
+	window := ble.TIFS + phy.LE1M.AirTime(36) + 20*sim.Microsecond
+	sched := a.stack.Sched
+	a.pending = appendPending(a.pending,
+		sched.AtArg(sched.Now().Add(window), a.rxCloseLabel, a.rxCloseFn, nil, a.epoch))
+}
+
+// rxClose ends the listen after an ADV_IND opened at epoch.
+func (a *Advertiser) rxClose(_ any, epoch uint64) {
+	if !a.running || a.epoch != epoch {
+		return // a frame arrived and moved the event along
+	}
+	if a.stack.Radio.Locked() || a.stack.Radio.Acquiring() {
+		return
+	}
+	a.stack.Radio.StopListening()
+	a.advertiseOnNext()
 }
 
 // onFrame handles SCAN_REQ and CONNECT_REQ while advertising.

@@ -147,7 +147,25 @@ type Conn struct {
 	lastValidRx sim.Time
 	closed      bool
 
+	// timers holds the refs of the connection's queued timers so close can
+	// cancel them; track drops refs that have run or been cancelled, so it
+	// stays O(live timers) rather than growing with every event.
 	timers []sim.EventRef
+
+	// emptyPDU backs the marshalled empty PDU of the current event: the
+	// medium copies a frame's PDU on Transmit, so one buffer serves every
+	// event without allocating.
+	emptyPDU []byte
+	// response is the slave's reply, built on reception and transmitted
+	// T_IFS later by respond. Its PDU may alias emptyPDU: no other event
+	// of this connection builds a PDU in between.
+	response medium.Frame
+
+	// Timer and tx-done callbacks, bound once in newConn so the per-event
+	// scheduling allocates no closure.
+	masterEventFn, masterTxDoneFn, noResponseFn func()
+	respondFn, slaveTxDoneFn                    func()
+	winOpenFn, winCloseFn                       func(_ any, n uint64)
 
 	// master per-event state
 	awaitingResponse bool
@@ -205,6 +223,13 @@ func newConn(stack *Stack, role Role, params ConnParams, peer ble.Address) (*Con
 			noResponse: stack.Name + ":no-response",
 		},
 	}
+	c.masterEventFn = c.masterEvent
+	c.masterTxDoneFn = c.masterTxDone
+	c.noResponseFn = c.noResponse
+	c.respondFn = c.respond
+	c.slaveTxDoneFn = c.slaveTxDone
+	c.winOpenFn = c.slaveOpenWindow
+	c.winCloseFn = c.slaveWindowClose
 	stack.Radio.SetAccessAddress(uint32(params.AccessAddress))
 	stack.Radio.OnFrame = c.onFrame
 	c.lastValidRx = stack.Sched.Now()
@@ -371,22 +396,47 @@ func (c *Conn) close(reason DisconnectReason) {
 	}
 }
 
+// track registers a queued timer for cancellation on close.
+func (c *Conn) track(ev sim.EventRef) {
+	c.timers = appendPending(c.timers, ev)
+}
+
+// appendPending appends ev to refs. When refs is full it first drops the
+// refs that are no longer pending (ran or cancelled; cancelling them is a
+// no-op anyway), so a timer list holds O(live timers) and reaches a steady
+// capacity instead of growing with every event.
+func appendPending(refs []sim.EventRef, ev sim.EventRef) []sim.EventRef {
+	if len(refs) == cap(refs) {
+		kept := refs[:0]
+		for _, r := range refs {
+			if r.Pending() {
+				kept = append(kept, r)
+			}
+		}
+		clear(refs[len(kept):])
+		refs = kept
+	}
+	return append(refs, ev)
+}
+
 // schedule registers a cancellable timer.
-func (c *Conn) schedule(d sim.Duration, label string, fn func()) sim.EventRef {
-	ev := c.stack.Sched.After(d, label, fn)
-	c.timers = append(c.timers, ev)
-	return ev
+func (c *Conn) schedule(d sim.Duration, label string, fn func()) {
+	c.track(c.stack.Sched.After(d, label, fn))
+}
+
+// scheduleArg registers a cancellable AtArg timer d from now.
+func (c *Conn) scheduleArg(d sim.Duration, label string, fn func(any, uint64), n uint64) {
+	sched := c.stack.Sched
+	c.track(sched.AtArg(sched.Now().Add(d), label, fn, nil, n))
 }
 
 // scheduleAt registers a cancellable timer at an absolute time.
-func (c *Conn) scheduleAt(t sim.Time, label string, fn func()) sim.EventRef {
+func (c *Conn) scheduleAt(t sim.Time, label string, fn func()) {
 	now := c.stack.Sched.Now()
 	if t < now {
 		t = now
 	}
-	ev := c.stack.Sched.At(t, label, fn)
-	c.timers = append(c.timers, ev)
-	return ev
+	c.track(c.stack.Sched.At(t, label, fn))
 }
 
 // supervisionExpired checks the supervision timeout.
@@ -412,12 +462,16 @@ func (c *Conn) nextPDU() medium.Frame {
 	p.Header.SN = c.sn
 	p.Header.NESN = c.nesn
 	p.Header.MD = len(c.txQueue) > 0
-	frame := c.marshalPDU(p)
-	if len(p.Payload) > 0 {
-		// Only non-empty PDUs need acknowledgement tracking for
-		// retransmission; empty PDUs are regenerated each event.
-		c.inFlight = &frame
+	if len(p.Payload) == 0 {
+		// Empty PDUs are regenerated each event and never encrypted.
+		c.emptyPDU = p.AppendMarshal(c.emptyPDU[:0])
+		return rawDataChannelFrame(c.params, c.emptyPDU)
 	}
+	// Only non-empty PDUs need acknowledgement tracking for
+	// retransmission; the copy keeps the returned frame off the heap.
+	frame := c.marshalPDU(p)
+	inFlight := frame
+	c.inFlight = &inFlight
 	return frame
 }
 

@@ -186,7 +186,11 @@ func newSelector(params ConnParams) (csa.Selector, error) {
 
 // dataChannelFrame builds the on-air frame for a data PDU under params.
 func dataChannelFrame(params ConnParams, p pdu.DataPDU) medium.Frame {
-	raw := p.Marshal()
+	return rawDataChannelFrame(params, p.Marshal())
+}
+
+// rawDataChannelFrame builds the on-air frame for a marshalled data PDU.
+func rawDataChannelFrame(params ConnParams, raw []byte) medium.Frame {
 	return medium.Frame{
 		Mode:          phy.LE1M,
 		AccessAddress: uint32(params.AccessAddress),

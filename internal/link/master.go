@@ -18,8 +18,7 @@ func NewMasterConn(stack *Stack, params ConnParams, peer ble.Address, connReqEnd
 	}
 	// Master transmits at the beginning of the transmit window.
 	offset := ble.ConnUnit + sim.Duration(params.WinOffset)*ble.ConnUnit
-	ev := stack.Clock.AtLocalOffset(connReqEnd, offset, stack.Name+":first-anchor", c.masterEvent)
-	c.timers = append(c.timers, ev)
+	c.track(stack.Clock.AtLocalOffset(connReqEnd, offset, stack.Name+":first-anchor", c.masterEventFn))
 	return c, nil
 }
 
@@ -38,9 +37,8 @@ func (c *Conn) masterEvent() {
 		// a transmit-window delay plus offset after the old anchor position.
 		c.applyUpdateParams(upd)
 		offset := ble.ConnUnit + sim.Duration(upd.WinOffset)*ble.ConnUnit
-		ev := c.stack.Clock.AtLocalOffset(c.stack.Sched.Now(), offset,
-			c.stack.Name+":updated-anchor", c.masterEventBody)
-		c.timers = append(c.timers, ev)
+		c.track(c.stack.Clock.AtLocalOffset(c.stack.Sched.Now(), offset,
+			c.stack.Name+":updated-anchor", c.masterEventBody))
 		return
 	}
 	c.masterEventBody()
@@ -64,37 +62,43 @@ func (c *Conn) masterEventBody() {
 
 	frame := c.nextPDU()
 	c.awaitingResponse = true
-	c.stack.Radio.OnTxDone = func() {
-		if c.closed {
-			return
-		}
-		c.stack.Radio.OnTxDone = nil
-		if c.pendingClose != nil {
-			// The packet just sent acknowledged the slave's
-			// LL_TERMINATE_IND; close without listening further.
-			c.close(*c.pendingClose)
-			return
-		}
-		c.stack.Radio.StartListening()
-		// If the slave's response preamble has not started by
-		// T_IFS + preamble+AA + slack, the event is over.
-		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
-		c.schedule(deadline, c.labels.noResponse, func() {
-			if c.closed || !c.awaitingResponse {
-				return
-			}
-			if c.stack.Radio.Locked() || c.stack.Radio.Acquiring() {
-				return // reception in progress; onFrame will close the event
-			}
-			c.awaitingResponse = false
-			c.stack.Radio.StopListening()
-			c.stack.trace("no-response", func() []sim.Field {
-				return []sim.Field{sim.F("event", c.eventCount)}
-			})
-			c.closeMasterEvent()
-		})
-	}
+	c.stack.Radio.OnTxDone = c.masterTxDoneFn
 	c.stack.Radio.Transmit(frame)
+}
+
+// masterTxDone follows the event-opening packet: listen for the response.
+func (c *Conn) masterTxDone() {
+	if c.closed {
+		return
+	}
+	c.stack.Radio.OnTxDone = nil
+	if c.pendingClose != nil {
+		// The packet just sent acknowledged the slave's
+		// LL_TERMINATE_IND; close without listening further.
+		c.close(*c.pendingClose)
+		return
+	}
+	c.stack.Radio.StartListening()
+	// If the slave's response preamble has not started by
+	// T_IFS + preamble+AA + slack, the event is over.
+	deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
+	c.schedule(deadline, c.labels.noResponse, c.noResponseFn)
+}
+
+// noResponse closes a master event whose slave never answered.
+func (c *Conn) noResponse() {
+	if c.closed || !c.awaitingResponse {
+		return
+	}
+	if c.stack.Radio.Locked() || c.stack.Radio.Acquiring() {
+		return // reception in progress; onFrame will close the event
+	}
+	c.awaitingResponse = false
+	c.stack.Radio.StopListening()
+	c.stack.trace("no-response", func() []sim.Field {
+		return []sim.Field{sim.F("event", c.eventCount)}
+	})
+	c.closeMasterEvent()
 }
 
 // masterOnFrame handles the slave's response within a connection event.
@@ -125,7 +129,6 @@ func (c *Conn) closeMasterEvent() {
 		return
 	}
 	c.eventCount++
-	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, c.params.IntervalDuration(),
-		c.labels.anchor, c.masterEvent)
-	c.timers = append(c.timers, ev)
+	c.track(c.stack.Clock.AtLocalOffset(c.lastAnchor, c.params.IntervalDuration(),
+		c.labels.anchor, c.masterEventFn))
 }

@@ -42,10 +42,8 @@ func (c *Conn) scheduleSlaveWindowForTransmitWindow(w TransmitWindow, ref sim.Ti
 	c.setPendingWindow(WindowInitial, span, widening, w.Size)
 	openOffset := span - widening
 	closeOffset := w.End().Sub(ref) + widening
-	ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.labels.winOpen, func() {
-		c.slaveOpenWindow(closeOffset - openOffset)
-	})
-	c.timers = append(c.timers, ev)
+	c.track(c.stack.Clock.AtLocalOffsetArg(ref, openOffset, c.labels.winOpen,
+		c.winOpenFn, nil, uint64(closeOffset-openOffset)))
 }
 
 // setPendingWindow stages the widening inputs for the next slaveOpenWindow.
@@ -77,10 +75,8 @@ func (c *Conn) scheduleNextSlaveWindow() {
 		c.setPendingWindow(WindowUpdate, span, widening, w.Size)
 		openOffset := span - widening
 		closeOffset := w.End().Sub(ref) + widening
-		ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.stack.Name+":upd-win-open", func() {
-			c.slaveOpenWindow(closeOffset - openOffset)
-		})
-		c.timers = append(c.timers, ev)
+		c.track(c.stack.Clock.AtLocalOffsetArg(ref, openOffset, c.stack.Name+":upd-win-open",
+			c.winOpenFn, nil, uint64(closeOffset-openOffset)))
 		return
 	}
 	// Slave latency: skip events when quiet (paper §III-B.8). Skipping
@@ -94,10 +90,8 @@ func (c *Conn) scheduleNextSlaveWindow() {
 	widening := c.currentWidening()
 	c.ins.onWidening(widening)
 	c.setPendingWindow(WindowSteady, span, widening, 0)
-	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, span-widening, c.labels.winOpen, func() {
-		c.slaveOpenWindow(2 * widening)
-	})
-	c.timers = append(c.timers, ev)
+	c.track(c.stack.Clock.AtLocalOffsetArg(c.lastAnchor, span-widening, c.labels.winOpen,
+		c.winOpenFn, nil, uint64(2*widening)))
 }
 
 // currentWidening returns the receive-window half-width for the upcoming
@@ -133,8 +127,10 @@ func (c *Conn) latencySkip() uint16 {
 	return skip
 }
 
-// slaveOpenWindow tunes to the event's channel and listens for width.
-func (c *Conn) slaveOpenWindow(width sim.Duration) {
+// slaveOpenWindow is the window-open timer: it tunes to the event's
+// channel and listens for the width the timer carries.
+func (c *Conn) slaveOpenWindow(_ any, n uint64) {
+	width := sim.Duration(n)
 	if c.closed {
 		return
 	}
@@ -158,14 +154,14 @@ func (c *Conn) slaveOpenWindow(width sim.Duration) {
 		c.OnWindow(w)
 	}
 	c.winEpoch++
-	epoch := c.winEpoch
-	c.schedule(width, c.labels.winClose, func() { c.slaveWindowClose(epoch) })
+	c.scheduleArg(width, c.labels.winClose, c.winCloseFn, c.winEpoch)
 }
 
-// slaveWindowClose fires at the end of the widened receive window. Packets
-// whose start fell inside the window are still being received and complete
-// normally (the spec constrains only the packet start).
-func (c *Conn) slaveWindowClose(epoch uint64) {
+// slaveWindowClose fires at the end of the widened receive window opened at
+// epoch (the timer's scalar). Packets whose start fell inside the window
+// are still being received and complete normally (the spec constrains only
+// the packet start).
+func (c *Conn) slaveWindowClose(_ any, epoch uint64) {
 	if c.closed || c.winEpoch != epoch {
 		return // a frame arrived in this window; the event moved on
 	}
@@ -174,8 +170,8 @@ func (c *Conn) slaveWindowClose(epoch uint64) {
 	}
 	if c.stack.Radio.Acquiring() {
 		// A preamble that started inside the window is still arriving.
-		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, c.labels.winClose,
-			func() { c.slaveWindowClose(epoch) })
+		c.scheduleArg(phy.LE1M.PreambleAATime()+5*sim.Microsecond, c.labels.winClose,
+			c.winCloseFn, epoch)
 		return
 	}
 	c.stack.Radio.StopListening()
@@ -226,21 +222,26 @@ func (c *Conn) slaveOnFrame(rx medium.Received) {
 	}
 
 	// Respond T_IFS after the end of the received frame.
-	frame := c.nextPDU()
-	ev := c.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, c.labels.response, func() {
-		if c.closed {
-			return
-		}
-		c.stack.Radio.OnTxDone = func() {
-			c.stack.Radio.OnTxDone = nil
-			if c.closed {
-				return
-			}
-			c.closeSlaveEvent()
-		}
-		c.stack.Radio.Transmit(frame)
-	})
-	c.timers = append(c.timers, ev)
+	c.response = c.nextPDU()
+	c.track(c.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, c.labels.response, c.respondFn))
+}
+
+// respond transmits the response built by slaveOnFrame.
+func (c *Conn) respond() {
+	if c.closed {
+		return
+	}
+	c.stack.Radio.OnTxDone = c.slaveTxDoneFn
+	c.stack.Radio.Transmit(c.response)
+}
+
+// slaveTxDone ends the event once the response is on air.
+func (c *Conn) slaveTxDone() {
+	c.stack.Radio.OnTxDone = nil
+	if c.closed {
+		return
+	}
+	c.closeSlaveEvent()
 }
 
 // closeSlaveEvent ends the event after the response transmission.

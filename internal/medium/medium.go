@@ -110,6 +110,17 @@ type DeliverObservation struct {
 const noiseCaptureThresholdDB = 9.0
 
 // transmission is one in-flight signal.
+//
+// Transmissions are recycled through the medium's free list, so a frame on
+// the air costs no allocation in steady state. The lifetime rule is a
+// reference count: refs counts every holder that may still dereference the
+// struct — its entry in Medium.active, each queued lock attempt, and the
+// queued rx-complete of a radio that locked it (which also covers that
+// radio's locked pointer). The struct returns to the free list only when
+// the count reaches zero, so a queued callback never sees its pointer reused
+// for another frame: a stale rx-complete (reception aborted by SetChannel or
+// Transmit) still finds its own, unchanged transmission and is rejected by
+// the locked check, exactly as before recycling.
 type transmission struct {
 	radio   *Radio
 	frame   Frame
@@ -117,6 +128,9 @@ type transmission struct {
 	start   sim.Time
 	end     sim.Time
 	noise   bool
+
+	refs int32         // holders per the lifetime rule above
+	next *transmission // free-list link
 }
 
 // Config configures a Medium.
@@ -146,11 +160,12 @@ type Config struct {
 // timing runs on the supplied scheduler. Not safe for concurrent use — the
 // simulation is single-threaded by design.
 type Medium struct {
-	sched     *sim.Scheduler
-	rng       *sim.RNG
-	cfg       Config
+	sched      *sim.Scheduler
+	rng        *sim.RNG
+	cfg        Config
 	radios     []*Radio
 	active     []*transmission
+	free       *transmission // recycled transmissions (see transmission)
 	observers  []Observer
 	deliverObs func(DeliverObservation)
 	ins        *instruments
@@ -242,15 +257,46 @@ func (m *Medium) rssiAt(t *transmission, r *Radio) phy.DBm {
 	return t.radio.txPower - phy.DBm(m.pathLoss(t.radio, r, t.channel))
 }
 
-// pruneActive drops transmissions that ended before now.
+// newTransmission takes a transmission from the free list (or allocates
+// one) holding the active list's reference.
+func (m *Medium) newTransmission() *transmission {
+	t := m.free
+	if t == nil {
+		t = &transmission{}
+	} else {
+		m.free = t.next
+		t.next = nil
+	}
+	t.refs = 1
+	return t
+}
+
+// release drops one reference to t, recycling it when none is left.
+func (m *Medium) release(t *transmission) {
+	t.refs--
+	if t.refs > 0 {
+		return
+	}
+	if t.refs < 0 {
+		panic("medium: transmission released more often than held")
+	}
+	*t = transmission{next: m.free}
+	m.free = t
+}
+
+// pruneActive drops transmissions that ended before now, releasing the
+// active list's reference to each.
 func (m *Medium) pruneActive() {
 	now := m.sched.Now()
 	kept := m.active[:0]
 	for _, t := range m.active {
 		if t.end > now {
 			kept = append(kept, t)
+		} else {
+			m.release(t)
 		}
 	}
+	clear(m.active[len(kept):])
 	m.active = kept
 }
 

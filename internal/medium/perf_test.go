@@ -281,3 +281,114 @@ func BenchmarkTransmitReceive(b *testing.B) {
 		b.Fatal("no frames delivered")
 	}
 }
+
+// --- transmission recycling ---
+
+// TestTransmitReceiveSteadyStateAllocsNothing pins the recycled hot path:
+// once warm, a Transmit → lock → deliver round trip through the scheduler
+// allocates nothing (transmission from the free list, lock attempt and
+// rx-complete as argument events, PDU clone in the arena).
+func TestTransmitReceiveSteadyStateAllocsNothing(t *testing.T) {
+	tb := newTestbed(t, Config{})
+	tx := tb.radio("tx", 0)
+	rx := tb.radio("rx", 2)
+	tx.SetChannel(5)
+	rx.SetChannel(5)
+	rx.SetAccessAddress(0x12345678)
+	n := 0
+	rx.OnFrame = func(Received) { n++; rx.StartListening() }
+	rx.StartListening()
+	f := dataFrame(0x12345678, 22)
+	for i := 0; i < 4; i++ { // warm the free lists and the arena chunk
+		tx.Transmit(f)
+		tb.sched.Run()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		tx.Transmit(f)
+		tb.sched.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state transmit/lock/deliver allocates %v per frame, want 0", allocs)
+	}
+	if n != 205 {
+		t.Fatalf("delivered %d frames, want 205", n)
+	}
+}
+
+// TestStaleRxCompleteNeverSeesReusedTransmission aborts a reception with
+// SetChannel and keeps the medium busy across the aborted frame's
+// rx-complete instant. The aborted transmission's struct must stay out of
+// the free list while its stale rx-complete is queued, be recycled right
+// after it, and then carry a new frame that the same radio locks and
+// receives with the new bytes; the aborted frame is never delivered.
+func TestStaleRxCompleteNeverSeesReusedTransmission(t *testing.T) {
+	tb := newTestbed(t, Config{})
+	tx1 := tb.radio("tx1", 0)
+	tx2 := tb.radio("tx2", 1)
+	rx := tb.radio("rx", 2)
+	const aa = 0x12345678
+	frame := func(fill byte) Frame {
+		f := dataFrame(aa, 10)
+		for i := range f.PDU {
+			f.PDU[i] = fill
+		}
+		return f
+	}
+	newest := func() *transmission { return tb.med.active[len(tb.med.active)-1] }
+	var got []byte
+	rx.OnFrame = func(r Received) {
+		got = append(got, r.Frame.PDU[0])
+		rx.StartListening()
+	}
+	rx.SetAccessAddress(aa)
+	tx1.SetChannel(5)
+	rx.SetChannel(5)
+	rx.StartListening()
+
+	tx1.Transmit(frame(0xA1))
+	aborted := newest()
+	end := aborted.end
+	us := func(n int64) sim.Time { return sim.Time(n) * sim.Time(sim.Microsecond) }
+
+	// Queued now, so at the aborted frame's end it runs before the stale
+	// rx-complete (queued at lock time): the active list drops the
+	// aborted transmission while the rx-complete still holds it.
+	var b *transmission
+	tb.sched.At(end, "b", func() {
+		tx2.SetChannel(6)
+		tx2.Transmit(frame(0xB2))
+		b = newest()
+		if b == aborted {
+			t.Fatal("struct reused while its rx-complete is still queued")
+		}
+		if aborted.refs != 1 {
+			t.Fatalf("aborted transmission holds %d refs after leaving active, want 1 (rx-complete)", aborted.refs)
+		}
+	})
+	tb.sched.RunUntil(us(60))
+	if !rx.Locked() {
+		t.Fatal("rx did not lock the first frame")
+	}
+	rx.SetChannel(6) // abort the reception; the rx-complete stays queued
+	rx.StartListening()
+
+	tb.sched.RunUntil(end)
+	if tb.med.free != aborted {
+		t.Fatal("aborted transmission not recycled after its stale rx-complete ran")
+	}
+	// B is on air until end+144µs; a frame started after it reuses the
+	// recycled struct and must reach rx with its own bytes.
+	var c *transmission
+	tb.sched.At(end.Add(200*sim.Microsecond), "c", func() {
+		tx1.SetChannel(6)
+		tx1.Transmit(frame(0xC3))
+		c = newest()
+	})
+	tb.sched.Run()
+	if c != aborted {
+		t.Fatal("next frame did not reuse the recycled struct")
+	}
+	if want := []byte{0xB2, 0xC3}; string(got) != string(want) {
+		t.Fatalf("rx received first bytes %x, want %x (the aborted 0xa1 frame must never arrive)", got, want)
+	}
+}

@@ -61,15 +61,27 @@ type Radio struct {
 	aaFilter    uint32
 	promiscuous bool
 
+	// Scheduler callbacks, bound once here so scheduling them allocates
+	// no closure; lock attempts and rx-complete carry their transmission
+	// as the event argument.
+	txDoneFn     func()
+	lockFn       func(arg any, _ uint64)
+	rxCompleteFn func(arg any, _ uint64)
+
 	state   radioState
 	locked  *transmission
-	txEnd   sim.EventRef
-	pending map[*transmission]sim.EventRef
+	pending []pendingLock // queued lock attempts, one per transmission
 
 	// OnFrame is called when a locked frame completes, even if corrupted.
 	OnFrame func(rx Received)
 	// OnTxDone is called when this radio's own transmission ends.
 	OnTxDone func()
+}
+
+// pendingLock is one queued lock attempt of a radio.
+type pendingLock struct {
+	t  *transmission
+	ev sim.EventRef
 }
 
 // NewRadio creates a radio and attaches it to the medium.
@@ -96,8 +108,10 @@ func (m *Medium) NewRadio(cfg RadioConfig) *Radio {
 		noiseEndLabel:   cfg.Name + ":noise-end",
 		rxCompleteLabel: cfg.Name + ":rx-complete",
 		state:           radioIdle,
-		pending:         make(map[*transmission]sim.EventRef),
 	}
+	r.txDoneFn = r.txDone
+	r.lockFn = r.lockAttempt
+	r.rxCompleteFn = r.rxComplete
 	m.radios = append(m.radios, r)
 	m.invalidateLossCache()
 	return r
@@ -198,11 +212,15 @@ func (r *Radio) abortReceive() {
 	}
 }
 
+// cancelPendingLocks cancels every queued lock attempt, releasing the
+// transmissions they held.
 func (r *Radio) cancelPendingLocks() {
-	for tx, ev := range r.pending {
-		r.med.sched.Cancel(ev)
-		delete(r.pending, tx)
+	for i, p := range r.pending {
+		r.med.sched.Cancel(p.ev)
+		r.med.release(p.t)
+		r.pending[i] = pendingLock{}
 	}
+	r.pending = r.pending[:0]
 }
 
 // Transmit sends a frame starting now. The radio must not already be
@@ -215,21 +233,23 @@ func (r *Radio) Transmit(f Frame) {
 	f = r.med.cloneFrame(f)
 	f.Mode = r.mode
 	now := r.med.sched.Now()
-	t := &transmission{
-		radio:   r,
-		frame:   f,
-		channel: r.channel,
-		start:   now,
-		end:     now.Add(f.AirTime()),
-	}
+	t := r.med.newTransmission()
+	t.radio = r
+	t.frame = f
+	t.channel = r.channel
+	t.start = now
+	t.end = now.Add(f.AirTime())
 	r.state = radioTransmitting
 	r.med.begin(t)
-	r.txEnd = r.med.sched.At(t.end, r.txEndLabel, func() {
-		r.state = radioIdle
-		if r.OnTxDone != nil {
-			r.OnTxDone()
-		}
-	})
+	r.med.sched.At(t.end, r.txEndLabel, r.txDoneFn)
+}
+
+// txDone ends this radio's own transmission (frame or noise).
+func (r *Radio) txDone() {
+	r.state = radioIdle
+	if r.OnTxDone != nil {
+		r.OnTxDone()
+	}
 }
 
 // TransmitNoise emits an unmodulated jamming burst for the given duration
@@ -240,21 +260,15 @@ func (r *Radio) TransmitNoise(d sim.Duration) {
 	}
 	r.abortReceive()
 	now := r.med.sched.Now()
-	t := &transmission{
-		radio:   r,
-		channel: r.channel,
-		start:   now,
-		end:     now.Add(d),
-		noise:   true,
-	}
+	t := r.med.newTransmission()
+	t.radio = r
+	t.channel = r.channel
+	t.start = now
+	t.end = now.Add(d)
+	t.noise = true
 	r.state = radioTransmitting
 	r.med.begin(t)
-	r.txEnd = r.med.sched.At(t.end, r.noiseEndLabel, func() {
-		r.state = radioIdle
-		if r.OnTxDone != nil {
-			r.OnTxDone()
-		}
-	})
+	r.med.sched.At(t.end, r.noiseEndLabel, r.txDoneFn)
 }
 
 // maybeScheduleLock is called by the medium when transmission t starts:
@@ -273,11 +287,25 @@ func (r *Radio) maybeScheduleLock(t *transmission, lockAt sim.Time) {
 	if !r.promiscuous && t.frame.AccessAddress != r.aaFilter {
 		return
 	}
-	ev := r.med.sched.At(lockAt, r.lockLabel, func() {
-		delete(r.pending, t)
-		r.tryLock(t)
-	})
-	r.pending[t] = ev
+	t.refs++
+	ev := r.med.sched.AtArg(lockAt, r.lockLabel, r.lockFn, t, 0)
+	r.pending = append(r.pending, pendingLock{t: t, ev: ev})
+}
+
+// lockAttempt runs a queued lock attempt on its transmission.
+func (r *Radio) lockAttempt(arg any, _ uint64) {
+	t := arg.(*transmission)
+	for i, p := range r.pending {
+		if p.t == t {
+			last := len(r.pending) - 1
+			copy(r.pending[i:], r.pending[i+1:])
+			r.pending[last] = pendingLock{}
+			r.pending = r.pending[:last]
+			break
+		}
+	}
+	r.tryLock(t)
+	r.med.release(t)
 }
 
 // tryLock attempts to lock onto t once its preamble+AA has fully arrived.
@@ -302,14 +330,19 @@ func (r *Radio) tryLock(t *transmission) {
 		return []sim.Field{sim.F("from", t.radio.name), sim.F("ch", t.channel), sim.F("start", t.start)}
 	})
 	r.med.ins.onLock(r, t)
-	r.med.sched.At(t.end, r.rxCompleteLabel, func() {
-		if r.locked != t {
-			return // channel change or transmit aborted the reception
-		}
+	t.refs++
+	r.med.sched.AtArg(t.end, r.rxCompleteLabel, r.rxCompleteFn, t, 0)
+}
+
+// rxComplete finishes the reception of a locked transmission.
+func (r *Radio) rxComplete(arg any, _ uint64) {
+	t := arg.(*transmission)
+	if r.locked == t {
 		r.locked = nil
 		r.state = radioIdle
 		r.med.deliver(t, r)
-	})
+	} // else a channel change or transmit aborted the reception
+	r.med.release(t)
 }
 
 // completeRx hands the finished frame to the owner.

@@ -33,11 +33,11 @@ type job struct {
 	// submitted is when the job was admitted (for queue-wait latency).
 	submitted time.Time
 
-	// cancel aborts the job's run context; safe to call at any time after
-	// admission, including before the job is popped.
+	// cancel aborts the job's run context. Other goroutines call it only
+	// through abort: release drops it (under mu) once the job is terminal.
 	cancel context.CancelFunc
 	// canceledCtx is the context cancel trips; the executor derives its
-	// run context (with deadline) from it.
+	// run context (with deadline) from it. Only the executor reads it.
 	canceledCtx context.Context
 
 	buf  streamBuf
@@ -74,6 +74,31 @@ func (j *job) setStatus(s JobStatus, errMsg string) {
 	j.errMsg = errMsg
 	if s == StatusDone || s == StatusFailed || s == StatusCanceled {
 		close(j.done)
+	}
+}
+
+// release drops what only a run needs once the job is terminal: the run
+// context (cancelled first, which frees its children map) and the inline
+// scenario document, which only Build reads. Terminal jobs stay in the
+// job table for status and cache replay, so this keeps each one small.
+// The executor calls it from finish.
+func (j *job) release() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.cancel, j.canceledCtx = nil, nil
+	j.spec.Scenario = nil
+	j.mu.Unlock()
+	cancel()
+}
+
+// abort cancels the job's run context, at any time after admission
+// (queued jobs notice when popped). It is a no-op on a terminal job.
+func (j *job) abort() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
 	}
 }
 

@@ -227,6 +227,7 @@ func (s *Server) runJob(j *job) {
 
 	finish := func(status JobStatus, errMsg string) {
 		j.buf.seal()
+		j.release()
 		j.setStatus(status, errMsg)
 		s.mu.Lock()
 		if s.live[j.key] == j {
@@ -353,7 +354,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.queue.close()
 	for _, j := range livejobs {
-		j.cancel()
+		j.abort()
 	}
 	s.wg.Wait()
 }
@@ -462,15 +463,24 @@ func (s *Server) retryAfterSecs() string {
 	return strconv.Itoa(secs)
 }
 
-// decodeSubmit reads and strictly decodes the request body. The limit
-// reads one byte past the spec cap so an oversized body is detected as
-// such rather than silently truncated into a JSON error.
+// decodeSubmit reads and strictly decodes the request body.
 func decodeSubmit(r *http.Request) (JobSpec, error) {
-	buf, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	buf, err := readSpecBody(r)
 	if err != nil {
 		return JobSpec{}, fmt.Errorf("serve: reading job spec: %w", err)
 	}
 	return DecodeJobSpec(buf)
+}
+
+// readSpecBody reads a spec body and closes it. The limit reads one byte
+// past the spec cap so an oversized body is detected as such rather than
+// silently truncated into a JSON error. Closing a body read to EOF spares
+// net/http the pooled discard copy it otherwise runs on every request
+// before the response header; an oversized body closes the connection.
+func readSpecBody(r *http.Request) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	r.Body.Close()
+	return buf, err
 }
 
 // submitHTTP maps Submit errors onto status codes; on success it returns
@@ -532,7 +542,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
-	j.cancel()
+	j.abort()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(j.snapshot())
 }
@@ -582,7 +592,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	raw, err := readSpecBody(r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("serve: reading scenario spec: %v", err))
 		return

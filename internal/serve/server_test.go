@@ -578,3 +578,70 @@ func TestLoadgenSelf(t *testing.T) {
 		t.Error("table missing cache hit ratio row")
 	}
 }
+
+// TestFinishedJobReleasesRunState checks that a terminal job keeps only
+// what status and replay need: its run context is cancelled and dropped
+// and its inline scenario released, while its status, key and stream stay
+// as they were.
+func TestFinishedJobReleasesRunState(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan string, 1)
+	gated := NewServer(Config{Hub: obs.NewHub(), Registry: stubRegistry(nil, started, release)})
+	defer gated.Close()
+	slow, _, err := gated.Submit(JobSpec{Experiment: "slow", Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	slow.mu.Lock()
+	ctx := slow.canceledCtx
+	slow.mu.Unlock()
+	close(release)
+	<-slow.done
+	if ctx == nil || ctx.Err() == nil {
+		t.Error("finished job's run context is not cancelled")
+	}
+	slow.mu.Lock()
+	if slow.canceledCtx != nil || slow.cancel != nil {
+		t.Error("finished job still holds its run context")
+	}
+	slow.mu.Unlock()
+	slow.abort() // a terminal job ignores cancellation
+
+	spec := JobSpec{Scenario: json.RawMessage(`{"version":1}`), Trials: 1, SeedBase: 3}
+	run := func() (*Server, *job) {
+		s := NewServer(Config{Hub: obs.NewHub()})
+		j, disp, err := s.Submit(spec)
+		if err != nil || disp != "miss" {
+			t.Fatalf("submit: disposition %q, err %v", disp, err)
+		}
+		<-j.done
+		return s, j
+	}
+	s, j := run()
+	defer s.Close()
+	info := j.snapshot()
+	if info.Status != StatusDone || info.Error != "" || info.Key == "" {
+		t.Fatalf("finished job status %+v", info)
+	}
+	j.mu.Lock()
+	scenario := j.spec.Scenario
+	j.mu.Unlock()
+	if scenario != nil {
+		t.Errorf("finished job still holds its scenario (%d bytes)", len(scenario))
+	}
+	slab, ok := j.buf.sealedBytes()
+	if !ok || len(slab) == 0 {
+		t.Fatal("finished job has no sealed stream")
+	}
+	hit, disp, err := s.Submit(spec)
+	if err != nil || disp != "hit" || hit != j {
+		t.Fatalf("resubmit: disposition %q, same job %t, err %v", disp, hit == j, err)
+	}
+	other, j2 := run()
+	defer other.Close()
+	slab2, _ := j2.buf.sealedBytes()
+	if !bytes.Equal(slab, slab2) || j2.snapshot() != info {
+		t.Error("releasing run state changed the job's stream or status")
+	}
+}

@@ -34,14 +34,11 @@ func (a *Arena) NewScheduler() *Scheduler {
 	s := NewScheduler()
 	if p := a.prev; p != nil {
 		// Every event still queued in the dead scheduler joins the new
-		// free list; recycle drops their callbacks so retained closures
-		// are released.
+		// free list; release drops their callbacks and arguments so
+		// retained closures and argument objects are released.
 		free := p.free
 		for _, e := range p.heap {
-			e.gen++
-			e.fn = nil
-			e.label = ""
-			e.cancel = false
+			e.release()
 			e.next = free
 			free = e
 		}

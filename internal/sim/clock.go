@@ -106,11 +106,24 @@ func (c *Clock) AfterLocal(d Duration, label string, fn func()) EventRef {
 // only), with one jitter sample. base is a true-time instant the device
 // observed directly (e.g. a received frame's start), so it carries no drift.
 func (c *Clock) AtLocalOffset(base Time, d Duration, label string, fn func()) EventRef {
+	return c.sched.At(c.localOffset(base, d), label, fn)
+}
+
+// AtLocalOffsetArg is AtLocalOffset for an AtArg callback: it schedules
+// fn(arg, n) at base + local duration d, with the same drift and single
+// jitter draw.
+func (c *Clock) AtLocalOffsetArg(base Time, d Duration, label string, fn func(arg any, n uint64), arg any, n uint64) EventRef {
+	return c.sched.AtArg(c.localOffset(base, d), label, fn, arg, n)
+}
+
+// localOffset converts base + local duration d to a true instant no
+// earlier than now, drawing one jitter sample.
+func (c *Clock) localOffset(base Time, d Duration) Time {
 	t := base.Add(c.scale(d) + c.SampleJitter())
 	if t < c.sched.Now() {
 		t = c.sched.Now()
 	}
-	return c.sched.At(t, label, fn)
+	return t
 }
 
 // DriftOver returns the absolute drift, in true time, that this clock

@@ -7,14 +7,29 @@ import "fmt"
 // user code refers to them only through generation-checked EventRefs, so a
 // stale reference can never touch a recycled (and possibly rescheduled)
 // struct.
+//
+// An event runs either fn() (At) or argFn(arg, n) (AtArg); exactly one of
+// fn and argFn is set while it is queued.
 type event struct {
 	at     Time
 	seq    uint64 // tie-breaker: FIFO among events at the same instant
 	fn     func()
+	argFn  func(arg any, n uint64)
+	arg    any
+	n      uint64
 	label  string
 	gen    uint32 // incremented on recycle; EventRefs must match to act
 	cancel bool
 	next   *event // free-list link
+}
+
+// release invalidates every EventRef issued for e and drops its callback
+// and argument, so a recycled slot retains nothing of its last use.
+func (e *event) release() {
+	e.gen++
+	e.fn, e.argFn, e.arg, e.n = nil, nil, nil, 0
+	e.label = ""
+	e.cancel = false
 }
 
 // EventRef is a handle to a scheduled event. The zero EventRef is valid and
@@ -104,25 +119,48 @@ func (s *Scheduler) alloc() *event {
 // recycle returns a popped event to the free list, invalidating every
 // EventRef issued for it and releasing its callback.
 func (s *Scheduler) recycle(e *event) {
-	e.gen++
-	e.fn = nil
-	e.label = ""
-	e.cancel = false
+	e.release()
 	e.next = s.free
 	s.free = e
 }
 
 // At schedules fn to run at the absolute instant t. Scheduling in the past
 // panics: it is always a logic error in a discrete-event model.
+//
+// A closure passed as fn is a heap allocation per call; hot per-frame
+// callbacks use AtArg instead.
 func (s *Scheduler) At(t Time, label string, fn func()) EventRef {
+	e := s.schedule(t, label)
+	e.fn = fn
+	return EventRef{e: e, gen: e.gen}
+}
+
+// AtArg schedules fn(arg, n) to run at the absolute instant t. It exists so
+// hot callbacks need no closure: fn is meant to be a method value bound once
+// per object (stored in a field at construction), arg carries the object the
+// event is about and n a scalar such as an epoch or a duration. A pointer
+// arg is boxed into the interface without allocating, and n needs no boxing
+// at all, so scheduling through AtArg allocates nothing in steady state.
+//
+// Unlike a closure's captures, arg and n live in the event itself, where a
+// snapshot (CaptureRoots) sees, saves and restores them with the queue.
+// Ordering, cancellation and EventRef semantics are exactly those of At.
+func (s *Scheduler) AtArg(t Time, label string, fn func(arg any, n uint64), arg any, n uint64) EventRef {
+	e := s.schedule(t, label)
+	e.argFn, e.arg, e.n = fn, arg, n
+	return EventRef{e: e, gen: e.gen}
+}
+
+// schedule queues a callback-less event at t; the caller sets its callback.
+func (s *Scheduler) schedule(t Time, label string) *event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, t, s.now))
 	}
 	s.seq++
 	e := s.alloc()
-	e.at, e.seq, e.fn, e.label = t, s.seq, fn, label
+	e.at, e.seq, e.label = t, s.seq, label
 	s.push(e)
-	return EventRef{e: e, gen: e.gen}
+	return e
 }
 
 // After schedules fn to run d after the current instant.
@@ -227,9 +265,13 @@ func (s *Scheduler) Step() bool {
 	}
 	s.now = e.at
 	s.ran++
-	fn := e.fn
+	fn, argFn, arg, n := e.fn, e.argFn, e.arg, e.n
 	s.recycle(e)
-	fn()
+	if argFn != nil {
+		argFn(arg, n)
+	} else {
+		fn()
+	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -361,5 +362,82 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if s := Duration(1500).String(); s != "1.500µs" {
 		t.Errorf("Duration.String sub-µs = %q", s)
+	}
+}
+
+// argSink is an AtArg target: handle is bound once as a method value.
+type argSink struct {
+	got []string
+	n   []uint64
+}
+
+func (k *argSink) handle(arg any, n uint64) {
+	k.got = append(k.got, arg.(*argTag).name)
+	k.n = append(k.n, n)
+}
+
+type argTag struct{ name string }
+
+func TestSchedulerAtArgOrderAndArguments(t *testing.T) {
+	s := NewScheduler()
+	k := &argSink{}
+	fn := k.handle
+	a, b := &argTag{"a"}, &argTag{"b"}
+	s.AtArg(20, "b", fn, b, 2)
+	s.At(10, "closure", func() { k.got = append(k.got, "closure"); k.n = append(k.n, 0) })
+	s.AtArg(10, "a", fn, a, 1<<40) // FIFO tie with the closure
+	cancelled := s.AtArg(15, "x", fn, a, 9)
+	s.Cancel(cancelled)
+	s.Run()
+	if want := []string{"closure", "a", "b"}; !slices.Equal(k.got, want) {
+		t.Fatalf("ran %v, want %v", k.got, want)
+	}
+	if want := []uint64{0, 1 << 40, 2}; !slices.Equal(k.n, want) {
+		t.Fatalf("scalars %v, want %v", k.n, want)
+	}
+	if cancelled.Pending() || cancelled.Label() != "" {
+		t.Fatal("cancelled AtArg ref still live after Run")
+	}
+}
+
+// TestSchedulerAtArgSteadyStateAllocsNothing pins the point of AtArg: a
+// bound method value plus a pointer argument schedules and runs without
+// allocating.
+func TestSchedulerAtArgSteadyStateAllocsNothing(t *testing.T) {
+	s := NewScheduler()
+	k := &argSink{got: make([]string, 0, 512), n: make([]uint64, 0, 512)}
+	fn := k.handle
+	tag := &argTag{"t"}
+	s.AtArg(0, "warm", fn, tag, 0)
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.AtArg(s.Now().Add(Microsecond), "steady", fn, tag, 12345)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state AtArg+Step allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestSchedulerRecycleReleasesArgument checks that a run event's slot keeps
+// no reference to its argument, and that an arena's next scheduler releases
+// the arguments of events still queued in the previous one.
+func TestSchedulerRecycleReleasesArgument(t *testing.T) {
+	s := NewScheduler()
+	k := &argSink{}
+	s.AtArg(1, "ran", k.handle, &argTag{"x"}, 7)
+	s.Run()
+	if e := s.free; e == nil || e.arg != nil || e.argFn != nil || e.n != 0 {
+		t.Fatalf("recycled event kept its argument: %+v", e)
+	}
+
+	ar := NewArena()
+	old := ar.NewScheduler()
+	old.AtArg(5, "queued", k.handle, &argTag{"y"}, 3)
+	fresh := ar.NewScheduler()
+	for e := fresh.free; e != nil; e = e.next {
+		if e.arg != nil || e.argFn != nil || e.n != 0 {
+			t.Fatalf("arena reused an event that kept its argument: %+v", e)
+		}
 	}
 }

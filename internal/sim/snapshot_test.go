@@ -225,3 +225,22 @@ func TestClockStateIsCapturedWithScheduler(t *testing.T) {
 		t.Fatalf("fired=%d, want 2", fired)
 	}
 }
+
+// TestSchedulerSnapshotSeesAtArgArgument checks that the snapshot walk
+// follows a queued event's argument: state reachable only through it is
+// rolled back by Restore, which a closure's captures never are.
+func TestSchedulerSnapshotSeesAtArgArgument(t *testing.T) {
+	type counter struct{ v int }
+	s := NewScheduler()
+	c := &counter{v: 1}
+	var seen []int
+	fn := func(arg any, n uint64) { seen = append(seen, arg.(*counter).v+int(n)) }
+	s.AtArg(10, "arg", fn, c, 100)
+	snap := s.Snapshot()
+	c.v = 50
+	s.Restore(snap)
+	s.Run()
+	if !slices.Equal(seen, []int{101}) {
+		t.Fatalf("argument state after restore = %v, want [101]", seen)
+	}
+}

@@ -34,7 +34,10 @@ import (
 //     mutable local captured ONLY by a closure is invisible to the walk and
 //     will not be rolled back. Snapshot-compatible code must keep mutable
 //     state in struct fields reachable from a root (internal/simtest's fork
-//     swarm enforces this empirically across randomized worlds).
+//     swarm enforces this empirically across randomized worlds). Events
+//     scheduled with Scheduler.AtArg need no such care for their argument:
+//     it is a field of the queued event, so the walk sees it (and follows a
+//     pointer argument) like any other state.
 //   - It does not traverse into channels or strings (immutable/opaque).
 //   - It only manages objects whose types live in this module (or in
 //     math/rand, so *rand.Rand internals — the PRNG stream position — are
