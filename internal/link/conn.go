@@ -419,11 +419,6 @@ func appendPending(refs []sim.EventRef, ev sim.EventRef) []sim.EventRef {
 	return append(refs, ev)
 }
 
-// schedule registers a cancellable timer.
-func (c *Conn) schedule(d sim.Duration, label string, fn func()) {
-	c.track(c.stack.Sched.After(d, label, fn))
-}
-
 // scheduleArg registers a cancellable AtArg timer d from now.
 func (c *Conn) scheduleArg(d sim.Duration, label string, fn func(any, uint64), n uint64) {
 	sched := c.stack.Sched

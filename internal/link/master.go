@@ -82,7 +82,7 @@ func (c *Conn) masterTxDone() {
 	// If the slave's response preamble has not started by
 	// T_IFS + preamble+AA + slack, the event is over.
 	deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
-	c.schedule(deadline, c.labels.noResponse, c.noResponseFn)
+	c.track(c.stack.Sched.After(deadline, c.labels.noResponse, c.noResponseFn))
 }
 
 // noResponse closes a master event whose slave never answered.
